@@ -24,7 +24,6 @@ from .quadrature import QuadratureAccuracyError, QuadratureSpec, integrate_adapt
 from .rates import (
     DecoherenceResult,
     DipoleApproximationWarning,
-    InternalConsistencyError,
     SuperpositionGeometry,
     ThermalBathParams,
     VARIANT_CANONICAL,
@@ -61,7 +60,6 @@ __all__ = [
     "DecoherenceResult",
     "DipoleApproximationWarning",
     "EmissionSpectrum",
-    "InternalConsistencyError",
     "PhysicalConstants",
     "QuadratureAccuracyError",
     "QuadratureSpec",

@@ -82,8 +82,14 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
 
 
 def _positive(name: str, value: float) -> float:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def _non_negative(name: str, value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
     return value
 
 
@@ -93,9 +99,9 @@ def _resolve_geometry(args) -> SuperpositionGeometry:
     if sum(given) != 1:
         raise ValueError("provide exactly one of --dx or --dx-over-rs")
     if args.dx is not None:
-        delta_x = args.dx
+        delta_x = _non_negative("--dx", args.dx)
     else:
-        delta_x = args.dx_over_rs * r_s
+        delta_x = _non_negative("--dx-over-rs", args.dx_over_rs) * r_s
     return SuperpositionGeometry(delta_x=delta_x, r_s=r_s)
 
 
@@ -151,12 +157,12 @@ def cmd_sweep(args) -> int:
     npts = int(points)
     if npts != points or npts < 2:
         raise ValueError(f"sweep needs an integer point count >= 2, got {points}")
+    _non_negative("--dx-over-rs START", start)
+    _non_negative("--dx-over-rs STOP", stop)
     if not stop > start:
         raise ValueError(f"need start < stop, got [{start}, {stop}]")
     if args.spacing == "log" and not start > 0.0:
         raise ValueError("log spacing needs start > 0")
-    if start < 0.0:
-        raise ValueError(f"separations must be non-negative, got start={start}")
     if variant == VARIANT_PRINTED and args.mode == "vacuum":
         print(_PRINTED_NOTICE, file=sys.stderr)
 

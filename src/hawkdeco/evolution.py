@@ -8,7 +8,9 @@ rho_od(t), so
 With evaporation on, Gamma(t') is evaluated at the shrinking mass
 M(t') = M0 (1 - t'/t_bh)^(1/3) while the branch separation delta_x stays
 fixed; the rate then grows monotonically as the hole shrinks, so the
-evaporating trace always lies at or below the constant-mass one.
+evaporating trace always lies at or below the constant-mass one.  The
+masses, radii and rates of the whole grid are evaluated as arrays in one
+pass; each rate has the bits of vacuum_rate at that radius.
 
 The accumulated exponent is integrated on the uniform grid with local
 parabolic segments (composite Simpson when the interval count is even),
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import CODATA2018, PhysicalConstants, evaporation_time, mass_at_time, schwarzschild_radius
-from .rates import SuperpositionGeometry, vacuum_rate
+from .blackhole import CODATA2018, PhysicalConstants, evaporation_time, schwarzschild_radius
+from .rates import SuperpositionGeometry, canonical_rate_array, vacuum_rate
 
 # geom.r_s must describe the same hole as mass0; allow rounding slack
 _GEOMETRY_CONSISTENCY = 1e-9
@@ -97,19 +99,17 @@ def evolve_coherence(
             "description ends there")
 
     times = np.linspace(0.0, t_max, steps + 1)
-    masses = np.empty(steps + 1)
-    rates = np.empty(steps + 1)
     if evaporate:
-        for i, t in enumerate(times):
-            m = mass_at_time(mass0, float(t), constants)
-            masses[i] = m
-            g = SuperpositionGeometry(geom.delta_x, schwarzschild_radius(m, constants))
-            rates[i] = vacuum_rate(g, constants=constants,
-                                   species_multiplicity=species_multiplicity).rate
+        # blackhole.mass_at_time and schwarzschild_radius, elementwise
+        masses = mass0 * (1.0 - times / t_bh) ** (1.0 / 3.0)
+        r_s = 2.0 * constants.G * masses / constants.c ** 2
+        # raises unless the geometry is valid at the smallest radius, where dx/R_s peaks
+        SuperpositionGeometry(geom.delta_x, float(r_s.min()))
+        rates = canonical_rate_array(geom.delta_x, r_s, constants, species_multiplicity)
     else:
-        masses[:] = mass0
-        rates[:] = vacuum_rate(geom, constants=constants,
-                               species_multiplicity=species_multiplicity).rate
+        masses = np.full(steps + 1, mass0)
+        rates = np.full(steps + 1, vacuum_rate(
+            geom, constants=constants, species_multiplicity=species_multiplicity).rate)
 
     exponent = _cumulative_parabolic(times, rates)
     coherence = np.exp(-exponent)

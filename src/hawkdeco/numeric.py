@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, QuadratureAccuracyError, gk15_batch, integrate_adaptive
+from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive
 from .rates import SuperpositionGeometry
 from .special import one_minus_sinc, sinc
 from .spectrum import EmissionSpectrum, U_TRUNCATION, bose_spectral_kernel

@@ -40,7 +40,7 @@ _ZETA_TABLE = {
 }
 
 # Bernoulli numbers B_2 .. B_12 for the trigamma asymptotic tail.
-_BERNOULLI_2K = (
+BERNOULLI_2K = (
     1.0 / 6.0,
     -1.0 / 30.0,
     1.0 / 42.0,
@@ -95,7 +95,7 @@ def _trigamma_asymptotic(z: complex) -> complex:
     inv2 = inv * inv
     total = inv + 0.5 * inv2
     power = inv * inv2
-    for b in _BERNOULLI_2K:
+    for b in BERNOULLI_2K:
         total += b * power
         power *= inv2
     return total

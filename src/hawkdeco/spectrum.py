@@ -109,9 +109,8 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
     Closed form 27 zeta(3) c / (32 pi^4 R_s) for an uncut spectrum;
     with omega_min > 0 the truncated u-integral is done numerically.
     """
-    base = 27.0 * spectrum.constants.c * zeta_int(3) / (math.pi ** 4 * spectrum.r_s)
     if spectrum.omega_min == 0.0:
-        return spectrum.prefactor() * base / 32.0
+        return closed_form_emission_rate(spectrum.r_s, spectrum)
     u_min = spectrum.u_min
     if u_min >= U_TRUNCATION - 1.0:
         raise ValueError(
@@ -122,6 +121,14 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
     per_u_coeff = spectrum.prefactor() * 27.0 * spectrum.constants.c / (
         64.0 * math.pi ** 4 * spectrum.r_s)
     return per_u_coeff * integral
+
+
+def closed_form_emission_rate(r_s, spectrum: EmissionSpectrum):
+    """Lambda_total = prefactor * 27 zeta(3) c / (32 pi^4 r_s) of an uncut
+    spectrum, at the horizon radius r_s instead of spectrum.r_s.  r_s may be
+    a float or a numpy array; the bits are the same either way."""
+    base = 27.0 * spectrum.constants.c * zeta_int(3) / (math.pi ** 4 * r_s)
+    return spectrum.prefactor() * base / 32.0
 
 
 def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:

@@ -102,6 +102,24 @@ def test_rate_geometry_flags(capsys):
     assert code == 2 and "vacuum" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("rate", "--mass", "inf", "--dx", "1"), "--mass"),
+    (("rate", "--mass", "1e30", "--dx", "nan"), "--dx"),
+    (("rate", "--mass", "1e30", "--dx-over-rs", "inf"), "--dx-over-rs"),
+    (("rate", "--mass", "1e30", "--dx-over-rs", "nan", "--mode", "thermal"), "--dx-over-rs"),
+    (("evolve", "--mass", "1e30", "--dx", "inf", "--t-max", "1"), "--dx"),
+    (("evolve", "--mass", "1e30", "--dx", "1", "--t-max", "inf"), "--t-max"),
+    (("sweep", "--mass", "1e30", "--dx-over-rs", "1", "inf", "3"), "--dx-over-rs"),
+    (("info", "--mass", "nan"), "--mass"),
+])
+def test_non_finite_inputs_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and option in err
+    assert "Traceback" not in err and "nan" not in out
+
+
 def test_sweep_header_and_shape(capsys):
     code, out, _ = run(capsys, "sweep", "--mass", "7.35e22",
                        "--dx-over-rs", "1e-3", "1e4", "71")

@@ -9,9 +9,12 @@ from hawkdeco import (
     SuperpositionGeometry,
     evaporation_time,
     evolve_coherence,
+    mass_at_time,
     schwarzschild_radius,
     vacuum_rate,
 )
+from hawkdeco import evolution
+from hawkdeco.evolution import _cumulative_parabolic
 
 M_MOON = 7.35e22
 
@@ -73,6 +76,37 @@ def test_evaporation_accelerates_decoherence():
     assert shrinking.mass[0] == M_SMALL
 
 
+@pytest.mark.parametrize("dx_over_rs", [2.7327e-17, 0.3, 30.0])
+def test_evaporating_rates_match_scalar_vacuum_rate(dx_over_rs, monkeypatch):
+    # the grid is evaluated as arrays; every rate must carry the bits of
+    # vacuum_rate at the same radius (dx_over_rs = 0.3 crosses y = 0.05
+    # as the hole shrinks, so both complement branches occur).  The rates
+    # are read where evolve_coherence computes them, because coherence
+    # underflows to 0 long before the mass changes at the larger separations.
+    real, seen = evolution.canonical_rate_array, []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(evolution, "canonical_rate_array", spy)
+    geom = small_hole_geom(dx_over_rs)
+    t_bh = evaporation_time(M_SMALL)
+    trace = evolve_coherence(geom, M_SMALL, 0.999 * t_bh, steps=101, evaporate=True,
+                             species_multiplicity=2)
+    # numpy's ** and libm pow may differ in the last bit of the cube root
+    expected_mass = np.array([mass_at_time(M_SMALL, float(t)) for t in trace.times])
+    assert np.all(np.abs(trace.mass - expected_mass) <= 2.0 * np.spacing(expected_mass))
+    expected = np.array([
+        vacuum_rate(SuperpositionGeometry(geom.delta_x, schwarzschild_radius(float(m))),
+                    species_multiplicity=2).rate
+        for m in trace.mass])
+    assert len(seen) == 1
+    assert seen[0].tobytes() == expected.tobytes()
+    coherence = np.exp(-_cumulative_parabolic(trace.times, expected))
+    assert trace.coherence.tobytes() == coherence.tobytes()
+
+
 def test_trace_invariants():
     geom = small_hole_geom()
     trace = evolve_coherence(geom, M_SMALL, 0.5 * evaporation_time(M_SMALL),
@@ -106,4 +140,9 @@ def test_validation_errors():
     small = small_hole_geom()
     with pytest.raises(ValueError):
         evolve_coherence(small, M_SMALL, t_max=evaporation_time(M_SMALL),
+                         steps=8, evaporate=True)
+    # dx/R_s is finite at t = 0 but overflows as the hole shrinks
+    wide = small_hole_geom(dx_over_rs=1e305)
+    with pytest.raises(ValueError, match="delta_x / r_s"):
+        evolve_coherence(wide, M_SMALL, t_max=(1.0 - 1e-12) * evaporation_time(M_SMALL),
                          steps=8, evaporate=True)

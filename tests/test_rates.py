@@ -27,12 +27,14 @@ from hawkdeco import (
     thermal_coefficient,
     thermal_localization_coeff,
     thermal_sphere_rate,
+    trigamma_complex,
     vacuum_localization_coeff,
     vacuum_overlap,
     vacuum_rate,
     vacuum_rate_saturation,
     vacuum_rate_small_dx,
 )
+from hawkdeco.rates import _trigamma_im_over_y, canonical_rate_array
 
 M_SUN = 1.99e30
 M_EARTH = 5.97e24
@@ -88,6 +90,86 @@ def test_vacuum_overlap_range():
     for x in np.logspace(-3, 6, 25):
         ov = vacuum_overlap(geom_at(float(x)))
         assert -1.0 <= ov <= 1.0
+
+
+def test_geometry_rejects_non_finite_input():
+    for delta_x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta_x"):
+            SuperpositionGeometry(delta_x=delta_x, r_s=1.0)
+    for r_s in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="r_s"):
+            SuperpositionGeometry(delta_x=1.0, r_s=r_s)
+    # both finite, but the ratio overflows
+    with pytest.raises(ValueError, match="delta_x / r_s"):
+        SuperpositionGeometry(delta_x=1e300, r_s=1e-300)
+
+
+def test_overlap_at_underflowing_separation():
+    # y = dx / (4 pi R_s) underflows to 0: coincident for every purpose
+    geom = SuperpositionGeometry(delta_x=5e-324, r_s=1.0)
+    assert geom.y == 0.0
+    assert vacuum_overlap(geom) == 1.0
+    res = vacuum_rate(geom)
+    assert res.overlap == 1.0
+    assert res.rate == 0.0
+    assert one_minus_overlap(geom) == 0.0
+
+
+def overlap_of_y(y):
+    return _trigamma_im_over_y(y) / (2.0 * ZETA3)
+
+
+@given(st.floats(1e-300, 1e300))
+def test_real_overlap_in_unit_interval(y):
+    ov = overlap_of_y(y)
+    assert 0.0 <= ov <= 1.0
+    assert math.copysign(1.0, ov) == 1.0  # +0.0, never -0.0
+    assert 0.0 <= vacuum_overlap(SuperpositionGeometry(delta_x=y, r_s=1.0)) <= 1.0
+
+
+def test_real_overlap_at_range_edges():
+    assert overlap_of_y(0.0) <= 1.0
+    assert overlap_of_y(0.0) == pytest.approx(1.0, rel=1e-15)
+    for y in (1e154, 1.3e154, 1.35e154, 1e200, 1e300, 1.7976931348623157e308):
+        ov = overlap_of_y(y)
+        assert 0.0 <= ov < 1e-300
+        assert math.copysign(1.0, ov) == 1.0, y
+
+
+def test_real_overlap_array_equals_scalar_bitwise():
+    ys = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 6001),
+                         [1.3e154, 1.35e154, 1.7976931348623157e308]])
+    with np.errstate(over="ignore"):
+        array = overlap_of_y(ys)
+    scalar = np.array([overlap_of_y(float(y)) for y in ys])
+    assert array.tobytes() == scalar.tobytes()
+
+
+def test_real_overlap_matches_complex_trigamma():
+    # Im psi1(1 + iy) = -y * (-Im psi1(1 + iy) / y), against the complex route
+    for y in np.logspace(-8.0, 8.0, 321):
+        y = float(y)
+        ref = trigamma_complex(1.0 + 1j * y).imag
+        assert abs(-y * _trigamma_im_over_y(y) - ref) <= 1e-13 * abs(ref), y
+
+
+def test_canonical_rate_array_equals_vacuum_rate_bitwise():
+    # both complement branches, the switch, and y past 1e154 (large delta_x
+    # keeps every radius, and so Lambda_total, in range)
+    delta_x = 1e200
+    y = np.concatenate([[1e-9, 0.0499, 0.05], np.logspace(-1.0, 300.0, 41)])
+    r_s = delta_x / (4.0 * math.pi * y)
+    for species in (1, 3):
+        scalar = [vacuum_rate(SuperpositionGeometry(delta_x, float(r)),
+                              species_multiplicity=species).rate for r in r_s]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from y * y
+            array = canonical_rate_array(delta_x, r_s, species_multiplicity=species)
+        assert array.tobytes() == np.array(scalar).tobytes()
+    # coincident branches
+    r_s = np.array([1.0, 2.0])
+    assert canonical_rate_array(0.0, r_s).tolist() == [
+        vacuum_rate(SuperpositionGeometry(0.0, float(r))).rate for r in r_s]
 
 
 def test_one_minus_overlap_small_y_leading_order():
