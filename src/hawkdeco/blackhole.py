@@ -10,7 +10,8 @@ All quantities are SI.  The relations implemented here are
 
 The evaporation law treats the hole as a quasi-static emitter whose mass
 loss rate follows from the Stefan-Boltzmann-like M^-2 luminosity, which
-integrates to the cubic-root depletion above.
+integrates to the cubic-root depletion above.  A mass whose radius,
+temperature or lifetime over- or underflows a double is a ValueError.
 """
 
 from __future__ import annotations
@@ -38,18 +39,33 @@ CODATA2018 = PhysicalConstants(
 )
 
 
+def _check_mass(mass: float, name: str = "mass") -> None:
+    if not mass > 0.0:
+        raise ValueError(f"{name} must be positive, got {mass}")
+
+
+def _in_range(what: str, mass: float, compute) -> float:
+    # compute(), unless it over- or underflows: then no double holds the answer
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if value == 0.0 or value == math.inf:
+        raise ValueError(f"mass={mass!r} kg puts {what} out of floating-point range")
+    return value
+
+
 def schwarzschild_radius(mass: float, constants: PhysicalConstants = CODATA2018) -> float:
     """R_s = 2 G M / c^2 in metres.  mass must be positive."""
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    return 2.0 * constants.G * mass / constants.c ** 2
+    _check_mass(mass)
+    return _in_range("r_s", mass, lambda: 2.0 * constants.G * mass / constants.c ** 2)
 
 
 def hawking_temperature(mass: float, constants: PhysicalConstants = CODATA2018) -> float:
     """Hawking temperature T_H = hbar c^3 / (8 pi G M k_B) in kelvin."""
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    return constants.hbar * constants.c ** 3 / (8.0 * math.pi * constants.G * mass * constants.k_B)
+    _check_mass(mass)
+    return _in_range("T_H", mass, lambda: constants.hbar * constants.c ** 3 / (
+        8.0 * math.pi * constants.G * mass * constants.k_B))
 
 
 def planck_length(constants: PhysicalConstants = CODATA2018) -> float:
@@ -62,10 +78,10 @@ def evaporation_time(mass: float, constants: PhysicalConstants = CODATA2018) -> 
 
     Photon-only greybody luminosity; about 8.4e-17 s for one kilogram.
     """
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    _check_mass(mass)
     g2 = constants.G * constants.G
-    return 5120.0 * math.pi * g2 * mass ** 3 / (constants.hbar * constants.c ** 4)
+    return _in_range("t_bh", mass, lambda: 5120.0 * math.pi * g2 * mass ** 3 / (
+        constants.hbar * constants.c ** 4))
 
 
 def mass_at_time(mass0: float, t: float, constants: PhysicalConstants = CODATA2018) -> float:
@@ -74,8 +90,7 @@ def mass_at_time(mass0: float, t: float, constants: PhysicalConstants = CODATA20
     Valid for 0 <= t < t_bh; at or beyond the lifetime the hole is gone and
     a ValueError is raised rather than returning a complex or zero mass.
     """
-    if not mass0 > 0.0:
-        raise ValueError(f"mass0 must be positive, got {mass0}")
+    _check_mass(mass0, "mass0")
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     t_bh = evaporation_time(mass0, constants)
@@ -92,8 +107,7 @@ class BlackHole:
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        _check_mass(self.mass)
 
     @property
     def r_s(self) -> float:

@@ -18,16 +18,11 @@ import numpy as np
 
 from .blackhole import BlackHole, CODATA2018, planck_length, schwarzschild_radius
 from .evolution import evolve_coherence
+from .quadrature import QuadratureAccuracyError
 from .rates import (SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_PRINTED,
                     classify_regime, thermal_bh_rate, vacuum_rate)
 from .spectrum import EmissionSpectrum, total_emission_rate
 from .verification import FAIL, run_checks
-
-_VARIANT_ALIASES = {
-    "canonical": VARIANT_CANONICAL,
-    VARIANT_CANONICAL: VARIANT_CANONICAL,
-    "printed_eq8": VARIANT_PRINTED,
-}
 
 _PRINTED_NOTICE = (
     "note: variant printed_eq8 uses the published closed-form coefficients, "
@@ -35,10 +30,11 @@ _PRINTED_NOTICE = (
 )
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.8e}"
+def _fmt(x) -> str:
+    # one output cell: nine significant digits or "inf" for a float, "" for None
+    if isinstance(x, float):
+        return "inf" if math.isinf(x) else f"{x:.8e}"
+    return "" if x is None else str(x)
 
 
 def _json_value(x):
@@ -51,34 +47,35 @@ def _json_value(x):
     return x
 
 
-def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
-    if args.format == "json":
-        payload = {
-            "meta": {k: _json_value(v) for k, v in meta.items()},
-            "rows": [
-                {k: _json_value(v) for k, v in zip(header, row)}
-                for row in rows
-            ],
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _write(args, output) -> None:
+    """Write a JSON payload (dict) or CSV lines (list) to --out or stdout."""
+    if isinstance(output, dict):
+        text = json.dumps(output, indent=2, allow_nan=False) + "\n"
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for v in row:
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(output) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
+    meta = {**meta, "constants": "CODATA2018"}
+    if args.format == "json":
+        _write(args, {
+            "meta": {k: _json_value(v) for k, v in meta.items()},
+            "rows": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows],
+        })
+    else:
+        # plain loops: on CPython 3.11 map() or a comprehension per row is slower
+        lines = [",".join(header)]
+        for row in rows:
+            cells = []
+            for v in row:
+                cells.append(_fmt(v))
+            lines.append(",".join(cells))
+        _write(args, lines)
 
 
 def _positive(name: str, value: float) -> float:
@@ -105,8 +102,19 @@ def _resolve_geometry(args) -> SuperpositionGeometry:
     return SuperpositionGeometry(delta_x=delta_x, r_s=r_s)
 
 
+def _resolve_variant(args) -> str:
+    """The rates variant named by --variant; vacuum mode only.  Prints the
+    printed_eq8 notice to stderr."""
+    if args.variant == "canonical":
+        return VARIANT_CANONICAL
+    if args.mode == "thermal":
+        raise ValueError("--variant applies to the vacuum mode only")
+    print(_PRINTED_NOTICE, file=sys.stderr)
+    return VARIANT_PRINTED
+
+
 def cmd_info(args) -> int:
-    hole = BlackHole(_positive("--mass", args.mass))
+    hole = BlackHole(args.mass)
     lam = total_emission_rate(EmissionSpectrum(
         r_s=hole.r_s, species_multiplicity=args.species))
     header = ["r_s_m", "t_hawking_k", "t_evaporation_s", "lambda_total_per_s",
@@ -114,7 +122,7 @@ def cmd_info(args) -> int:
     rows = [[hole.r_s, hole.t_hawking, hole.t_evaporation, lam, planck_length()]]
     _emit(args, header, rows,
           meta={"command": "info", "mass_kg": args.mass,
-                "species_multiplicity": args.species, "constants": "CODATA2018"})
+                "species_multiplicity": args.species})
     return 0
 
 
@@ -129,13 +137,8 @@ def _rate_row(geom: SuperpositionGeometry, mode: str, variant: str, species: int
 
 
 def cmd_rate(args) -> int:
-    _positive("--mass", args.mass)
-    variant = _VARIANT_ALIASES[args.variant]
-    if args.mode == "thermal" and args.variant != "canonical":
-        raise ValueError("--variant applies to the vacuum mode only")
     geom = _resolve_geometry(args)
-    if variant == VARIANT_PRINTED and args.mode == "vacuum":
-        print(_PRINTED_NOTICE, file=sys.stderr)
+    variant = _resolve_variant(args)
     rate, tau, overlap, regime, variant_label = _rate_row(
         geom, args.mode, variant, args.species)
     header = ["rate_si", "tau_d_s", "overlap", "regime", "variant"]
@@ -143,16 +146,11 @@ def cmd_rate(args) -> int:
     _emit(args, header, rows,
           meta={"command": "rate", "mass_kg": args.mass, "delta_x_m": geom.delta_x,
                 "dx_over_rs": geom.dx_over_rs, "mode": args.mode,
-                "variant": variant_label, "species_multiplicity": args.species,
-                "constants": "CODATA2018"})
+                "variant": variant_label, "species_multiplicity": args.species})
     return 0
 
 
 def cmd_sweep(args) -> int:
-    _positive("--mass", args.mass)
-    variant = _VARIANT_ALIASES[args.variant]
-    if args.mode == "thermal" and args.variant != "canonical":
-        raise ValueError("--variant applies to the vacuum mode only")
     start, stop, points = args.dx_over_rs
     npts = int(points)
     if npts != points or npts < 2:
@@ -163,8 +161,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"need start < stop, got [{start}, {stop}]")
     if args.spacing == "log" and not start > 0.0:
         raise ValueError("log spacing needs start > 0")
-    if variant == VARIANT_PRINTED and args.mode == "vacuum":
-        print(_PRINTED_NOTICE, file=sys.stderr)
+    variant = _resolve_variant(args)
 
     r_s = schwarzschild_radius(args.mass)
     if args.spacing == "log":
@@ -181,13 +178,11 @@ def cmd_sweep(args) -> int:
     _emit(args, header, rows,
           meta={"command": "sweep", "mass_kg": args.mass, "mode": args.mode,
                 "variant": variant if args.mode == "vacuum" else None,
-                "spacing": args.spacing, "species_multiplicity": args.species,
-                "constants": "CODATA2018"})
+                "spacing": args.spacing, "species_multiplicity": args.species})
     return 0
 
 
 def cmd_evolve(args) -> int:
-    _positive("--mass", args.mass)
     _positive("--t-max", args.t_max)
     geom = _resolve_geometry(args)
     trace = evolve_coherence(geom, args.mass, args.t_max, args.steps,
@@ -202,8 +197,7 @@ def cmd_evolve(args) -> int:
             "evaporate": bool(args.evaporate),
             "species_multiplicity": args.species,
             "tau_d_s": res.decoherence_time,
-            "quasi_static_valid": trace.quasi_static_valid,
-            "constants": "CODATA2018"}
+            "quasi_static_valid": trace.quasi_static_valid}
     _emit(args, header, rows, meta)
     if args.format == "csv":
         # keep stdout as pure CSV; the summary goes to stderr
@@ -217,23 +211,16 @@ def cmd_verify(args) -> int:
     results = run_checks()
     failed = sum(1 for r in results if r.status == FAIL)
     if args.format == "json":
-        payload = {
+        _write(args, {
             "meta": {"command": "verify", "checks": len(results), "failed": failed},
             "rows": [{"name": r.name, "status": r.status, "detail": r.detail}
                      for r in results],
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        })
     else:
-        lines = [f"{r.status} {r.name}: {r.detail}" for r in results]
         warned = sum(1 for r in results if r.status == "WARN")
         passed = len(results) - failed - warned
-        lines.append(f"{passed} passed, {warned} warned, {failed} failed")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write(args, [f"{r.status} {r.name}: {r.detail}" for r in results]
+               + [f"{passed} passed, {warned} warned, {failed} failed"])
     return 1 if failed else 0
 
 
@@ -244,61 +231,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def mass(p):
+        p.add_argument("--mass", type=float, required=True, help="hole mass in kg")
+
+    def separation(p):
+        p.add_argument("--dx", type=float, help="branch separation in m")
+        p.add_argument("--dx-over-rs", type=float, help="branch separation in horizon radii")
+
+    def mode_and_variant(p):
+        p.add_argument("--mode", choices=("vacuum", "thermal"), default="vacuum")
+        p.add_argument("--variant", choices=("canonical", "printed_eq8"), default="canonical")
+
+    def species(p):
+        p.add_argument("--species", type=int, default=1,
+                       help="massless species multiplicity (default 1)")
+
+    def add(name, help, func, *options):
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            option(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="write output to this file instead of stdout")
+        p.set_defaults(func=func)
 
-    p_info = sub.add_parser("info", help="derived scales for a given mass")
-    p_info.add_argument("--mass", type=float, required=True, help="hole mass in kg")
-    p_info.add_argument("--species", type=int, default=1,
-                        help="massless species multiplicity (default 1)")
-    add_common(p_info)
-    p_info.set_defaults(func=cmd_info)
+    def sweep_range(p):
+        p.add_argument("--dx-over-rs", type=float, nargs=3, required=True,
+                       metavar=("START", "STOP", "POINTS"),
+                       help="separation range in horizon radii")
+        p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
-    p_rate = sub.add_parser("rate", help="decoherence rate for one separation")
-    p_rate.add_argument("--mass", type=float, required=True, help="hole mass in kg")
-    p_rate.add_argument("--dx", type=float, help="branch separation in m")
-    p_rate.add_argument("--dx-over-rs", type=float,
-                        help="branch separation in horizon radii")
-    p_rate.add_argument("--mode", choices=("vacuum", "thermal"), default="vacuum")
-    p_rate.add_argument("--variant", choices=("canonical", "printed_eq8"),
-                        default="canonical")
-    p_rate.add_argument("--species", type=int, default=1)
-    add_common(p_rate)
-    p_rate.set_defaults(func=cmd_rate)
+    def evolution(p):
+        p.add_argument("--t-max", type=float, required=True, dest="t_max",
+                       help="evolution span in s")
+        p.add_argument("--steps", type=int, default=256,
+                       help="uniform grid intervals (default 256)")
+        p.add_argument("--evaporate", action="store_true",
+                       help="let the mass shrink by Hawking emission")
 
-    p_sweep = sub.add_parser("sweep", help="rate table over a separation range")
-    p_sweep.add_argument("--mass", type=float, required=True, help="hole mass in kg")
-    p_sweep.add_argument("--dx-over-rs", type=float, nargs=3, required=True,
-                         metavar=("START", "STOP", "POINTS"),
-                         help="separation range in horizon radii")
-    p_sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
-    p_sweep.add_argument("--mode", choices=("vacuum", "thermal"), default="vacuum")
-    p_sweep.add_argument("--variant", choices=("canonical", "printed_eq8"),
-                         default="canonical")
-    p_sweep.add_argument("--species", type=int, default=1)
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_evolve = sub.add_parser("evolve", help="coherence as a function of time")
-    p_evolve.add_argument("--mass", type=float, required=True, help="hole mass in kg")
-    p_evolve.add_argument("--dx", type=float, help="branch separation in m")
-    p_evolve.add_argument("--dx-over-rs", type=float,
-                          help="branch separation in horizon radii")
-    p_evolve.add_argument("--t-max", type=float, required=True, dest="t_max",
-                          help="evolution span in s")
-    p_evolve.add_argument("--steps", type=int, default=256,
-                          help="uniform grid intervals (default 256)")
-    p_evolve.add_argument("--evaporate", action="store_true",
-                          help="let the mass shrink by Hawking emission")
-    p_evolve.add_argument("--species", type=int, default=1)
-    add_common(p_evolve)
-    p_evolve.set_defaults(func=cmd_evolve)
-
-    p_verify = sub.add_parser("verify", help="run the self-check battery")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
+    add("info", "derived scales for a given mass", cmd_info, mass, species)
+    add("rate", "decoherence rate for one separation", cmd_rate,
+        mass, separation, mode_and_variant, species)
+    add("sweep", "rate table over a separation range", cmd_sweep,
+        mass, sweep_range, mode_and_variant, species)
+    add("evolve", "coherence as a function of time", cmd_evolve,
+        mass, separation, evolution, species)
+    add("verify", "run the self-check battery", cmd_verify)
     return parser
 
 
@@ -306,8 +283,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "verify":
+            _positive("--mass", args.mass)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, QuadratureAccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ import numpy as np
 from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive
 from .rates import SuperpositionGeometry
 from .special import one_minus_sinc, sinc
-from .spectrum import EmissionSpectrum, U_TRUNCATION, bose_spectral_kernel
+from .spectrum import EmissionSpectrum, U_TRUNCATION, bose_seed_points, bose_spectral_kernel
 
 # Past this many sinc lobes the remaining alternating series is
 # accelerated instead of integrated lobe by lobe.
@@ -130,21 +130,9 @@ def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> t
     return head + tail, head_err + tail_err + float(np.sum(lobe_errs))
 
 
-def _seed_points(u_min: float, alpha: float = 0.0) -> list[float]:
-    seeds = {u_min, U_TRUNCATION}
-    for p in (0.5, 2.0, 8.0, 20.0):
-        if u_min < p < U_TRUNCATION:
-            seeds.add(p)
-    if alpha > 0.0:
-        # place whatever sinc zeros exist in range on interval edges
-        k = 1
-        while k * math.pi / alpha < U_TRUNCATION:
-            if k * math.pi / alpha > u_min:
-                seeds.add(k * math.pi / alpha)
-            k += 1
-            if k > 64:
-                break
-    return sorted(seeds)
+def _seed_points(u_min: float, alpha: float) -> list[float]:
+    # the kernel's breakpoints plus the sinc zeros in range, for 0 < alpha <= 1
+    return sorted(set(bose_seed_points(u_min)) | set(_sinc_zeros(alpha, u_min).tolist()))
 
 
 def _check_geometry(geom: SuperpositionGeometry,
@@ -158,10 +146,7 @@ def _check_geometry(geom: SuperpositionGeometry,
 
 
 def _denominator(u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
-    if u_min >= U_TRUNCATION - 1.0:
-        raise ValueError(
-            f"cutoff u_min={u_min:.3g} leaves no resolvable spectrum below u={U_TRUNCATION}")
-    return integrate_adaptive(bose_spectral_kernel, _seed_points(u_min), quad)
+    return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)
 
 
 def overlap_numeric_detail(
@@ -205,24 +190,22 @@ def rate_numeric_detail(
     """(rate, error estimate) in s^-1 by quadrature."""
     spectrum = _check_geometry(geom, spectrum)
     u_min = spectrum.u_min
-    denom, denom_err = _denominator(u_min, quad)
-    per_u_coeff = (spectrum.prefactor() * 27.0 * spectrum.constants.c
-                   / (64.0 * math.pi ** 4 * spectrum.r_s))
+    bose_seed_points(u_min)  # rejects a cut-off beyond the spectrum on every branch
     alpha = geom.y
     if alpha == 0.0:
         return 0.0, 0.0
     if alpha < 1.0:
-        # positive integrand, relative accuracy survives small alpha;
-        # the denominator never enters this branch's value
+        # positive integrand, relative accuracy survives small alpha
         comp, comp_err = integrate_adaptive(
             lambda u: bose_spectral_kernel(u) * one_minus_sinc(alpha * u),
             _seed_points(u_min, alpha), quad)
     else:
+        denom, denom_err = _denominator(u_min, quad)
         num, num_err = _oscillatory_integral(alpha, u_min, quad)
         comp = denom - num
         comp_err = num_err + denom_err
-    rate = per_u_coeff * comp
-    return rate, per_u_coeff * comp_err
+    per_u_rate = spectrum.per_u_rate()
+    return per_u_rate * comp, per_u_rate * comp_err
 
 
 def rate_numeric(

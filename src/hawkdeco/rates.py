@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import CODATA2018, PhysicalConstants, schwarzschild_radius
+from .blackhole import (CODATA2018, PhysicalConstants, _check_mass, _in_range,
+                        schwarzschild_radius)
 from .special import BERNOULLI_2K, zeta_int
 from .spectrum import EmissionSpectrum, closed_form_emission_rate, total_emission_rate
 
@@ -66,6 +67,9 @@ _COMPLEMENT_SERIES_TERMS = 20000
 # + psi1(10 + iy), largest first so that the smallest terms are added first.
 _RECURRENCE_SHIFTS = (9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0)
 _TWO_ZETA3 = 2.0 * zeta_int(3)
+
+# 16 * 8! zeta(9) / (9 pi), the dipole-scattering prefactor of the thermal rate
+_THERMAL_PREFACTOR = 16.0 * math.factorial(8) * zeta_int(9) / (9.0 * math.pi)
 
 
 class DipoleApproximationWarning(UserWarning):
@@ -284,8 +288,7 @@ def vacuum_rate_saturation(
 
 def thermal_coefficient() -> float:
     """d = (16 * 8! zeta(9) / 9 pi) * 27^3 / (4 pi)^9 ~= 0.0576."""
-    base = 16.0 * math.factorial(8) * zeta_int(9) / (9.0 * math.pi)
-    return base * 27.0 ** 3 / (4.0 * math.pi) ** 9
+    return _THERMAL_PREFACTOR * 27.0 ** 3 / (4.0 * math.pi) ** 9
 
 
 @dataclass(frozen=True)
@@ -336,9 +339,8 @@ def thermal_sphere_rate(
             f"dominant thermal wavelength {wavelength:.3e} m; a^6 cross-section "
             "is extrapolated",
             DipoleApproximationWarning, stacklevel=2)
-    base = 16.0 * math.factorial(8) * zeta_int(9) / (9.0 * math.pi)
     thermal_freq = constants.k_B * params.temperature / constants.hbar
-    return (species_multiplicity * base * params.radius_eff ** 6 * delta_x ** 2
+    return (species_multiplicity * _THERMAL_PREFACTOR * params.radius_eff ** 6 * delta_x ** 2
             * thermal_freq ** 9 / constants.c ** 8)
 
 
@@ -395,11 +397,11 @@ def planck_localization_time(
     """
     if mode not in ("vacuum", "thermal"):
         raise ValueError(f"mode must be 'vacuum' or 'thermal', got {mode!r}")
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    _check_mass(mass)
     if mode == "thermal":
         coeff = thermal_localization_coeff(rounded)
     else:
         coeff = vacuum_localization_coeff(rounded)
     g2 = constants.G * constants.G
-    return coeff * g2 * mass ** 3 / (constants.hbar * constants.c ** 4)
+    return _in_range("tau", mass, lambda: coeff * g2 * mass ** 3 / (
+        constants.hbar * constants.c ** 4))

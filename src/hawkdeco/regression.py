@@ -32,6 +32,7 @@ from .quadrature import QuadratureSpec
 from .rates import SuperpositionGeometry, ThermalBathParams, thermal_sphere_rate
 from .numeric import overlap_numeric, rate_numeric, trigamma_series
 from .spectrum import EmissionSpectrum
+from .verification import HEADLINE
 
 DEFAULT_RESOURCE = "regression_constants.txt"
 
@@ -40,11 +41,7 @@ _FIELDS = ("name", "value", "value_hex", "rel_tol", "generator", "params")
 # Tight quadrature settings for reference generation.
 _REF_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=20000)
 
-# Inputs mirrored from the headline comparisons: masses in kg, branch
-# separation 1 cm.
-_MASS_SUN = 1.99e30
-_MASS_EARTH = 5.97e24
-_MASS_MOON = 7.35e22
+# Branch separation of the headline comparisons (verification.HEADLINE).
 _SEPARATION = 0.01
 
 
@@ -170,7 +167,7 @@ def generate_records() -> list[RegressionRecord]:
     ))
 
     # Headline one-centimetre superpositions.
-    for label, mass in (("sun", _MASS_SUN), ("earth", _MASS_EARTH), ("moon", _MASS_MOON)):
+    for label, (mass, _, _) in HEADLINE.items():
         geom = SuperpositionGeometry.from_mass(mass, _SEPARATION)
         out.append(RegressionRecord(
             name=f"tau_{label}_canonical_s",
@@ -179,13 +176,14 @@ def generate_records() -> list[RegressionRecord]:
             generator="rate_numeric",
             params=f"mass_kg={mass!r} delta_x_m={_SEPARATION!r} {quad_params}",
         ))
-    geom_moon = SuperpositionGeometry.from_mass(_MASS_MOON, _SEPARATION)
+    mass_moon = HEADLINE["moon"][0]
+    geom_moon = SuperpositionGeometry.from_mass(mass_moon, _SEPARATION)
     out.append(RegressionRecord(
         name="overlap_moon",
         value=overlap_numeric(geom_moon, quad=_REF_QUAD),
         rel_tol=1e-9,
         generator="overlap_numeric",
-        params=f"mass_kg={_MASS_MOON!r} delta_x_m={_SEPARATION!r} {quad_params}",
+        params=f"mass_kg={mass_moon!r} delta_x_m={_SEPARATION!r} {quad_params}",
     ))
 
     # Thermal sphere spot value: micron-scale sphere, 10 nm split, room bath.

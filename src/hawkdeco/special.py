@@ -14,17 +14,16 @@ with the asymptotic expansion
 
     psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
 
-applied once |z| is past a shift threshold.  Bernoulli terms are kept
+applied once |z| is past SHIFT_THRESHOLD = 10.  Bernoulli terms are kept
 through B_12; at |z| = 10 the first dropped term is ~1e-16 of the value,
-comfortably below the 1e-10 accuracy target.  The threshold is checked
-once at first use against a deeper-shifted evaluation and widened if the
-check ever fails, so a bad constant cannot silently degrade results.
+comfortably below the 1e-10 accuracy target.  The threshold is a fixed
+constant; ``hawkdeco verify`` checks it against a deeper-shifted
+evaluation (check ``trigamma_shift_threshold``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +47,9 @@ BERNOULLI_2K = (
     5.0 / 66.0,
     -691.0 / 2730.0,
 )
+
+# |z| from which trigamma_complex uses the asymptotic series
+SHIFT_THRESHOLD = 10.0
 
 _SINC_SERIES_CUT = 1e-4
 _ONE_MINUS_SINC_CUT = 0.125
@@ -89,7 +91,7 @@ def zeta_int(n: int) -> float:
     return zeta_series(int(n))
 
 
-def _trigamma_asymptotic(z: complex) -> complex:
+def trigamma_asymptotic(z: complex) -> complex:
     # 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1), valid away from the negative axis
     inv = 1.0 / z
     inv2 = inv * inv
@@ -99,40 +101,6 @@ def _trigamma_asymptotic(z: complex) -> complex:
         total += b * power
         power *= inv2
     return total
-
-
-def _trigamma_with_threshold(z: complex, threshold: float) -> complex:
-    shifted = complex(z)
-    acc = 0.0 + 0.0j
-    while abs(shifted) < threshold or shifted.real < 0.5:
-        acc += 1.0 / (shifted * shifted)
-        shifted += 1.0
-    return acc + _trigamma_asymptotic(shifted)
-
-
-@lru_cache(maxsize=1)
-def _shift_threshold() -> float:
-    # Self-check: at the candidate threshold the asymptotic value must agree
-    # with a ten-step recurrence into a deeper (more accurate) asymptotic
-    # region.  Widen until it does; 10 passes on any IEEE double platform.
-    threshold = 10.0
-    probes = (1.0 + 0.0j, 0.6 + 0.8j, 0.0 + 1.0j)
-    while threshold <= 80.0:
-        worst = 0.0
-        for direction in probes:
-            z = threshold * direction
-            direct = _trigamma_asymptotic(z)
-            shifted = z
-            acc = 0.0 + 0.0j
-            for _ in range(10):
-                acc += 1.0 / (shifted * shifted)
-                shifted += 1.0
-            deep = acc + _trigamma_asymptotic(shifted)
-            worst = max(worst, abs(direct - deep) / abs(deep))
-        if worst < 1e-12:
-            return threshold
-        threshold *= 1.5
-    raise RuntimeError("trigamma shift threshold calibration failed")
 
 
 def trigamma_complex(z: complex) -> complex:
@@ -147,7 +115,11 @@ def trigamma_complex(z: complex) -> complex:
         raise ValueError(f"trigamma pole at non-positive integer z={z.real}")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"trigamma argument must be finite, got {z}")
-    return _trigamma_with_threshold(z, _shift_threshold())
+    acc = 0.0 + 0.0j
+    while abs(z) < SHIFT_THRESHOLD or z.real < 0.5:
+        acc += 1.0 / (z * z)
+        z += 1.0
+    return acc + trigamma_asymptotic(z)
 
 
 def sinc(x):

@@ -17,6 +17,9 @@ The ``polarizations`` knob rescales the two-polarization normalization
 (factor p/2) and ``species_multiplicity`` multiplies the whole rate for
 additional massless emission channels; neither affects the normalized
 frequency distribution.
+
+``per_u_rate`` (rate per unit u-integral) and ``bose_seed_points`` (the
+kernel's knees and the cut-off limit) serve the oracle and the checks too.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ class EmissionSpectrum:
         """Polarization and species multiplier (p/2) * N relative to photons."""
         return 0.5 * self.polarizations * self.species_multiplicity
 
+    def per_u_rate(self) -> float:
+        """prefactor * 27 c / (64 pi^4 R_s) in s^-1: the rate per unit of
+        the integral of u^2/(e^u - 1) du (2 zeta(3) over all u)."""
+        return self.prefactor() * 27.0 * self.constants.c / (64.0 * math.pi ** 4 * self.r_s)
+
 
 def bose_spectral_kernel(u):
     """u^2 / (e^u - 1), the dimensionless spectral shape; 0 at u = 0.
@@ -108,19 +116,19 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
 
     Closed form 27 zeta(3) c / (32 pi^4 R_s) for an uncut spectrum;
     with omega_min > 0 the truncated u-integral is done numerically.
+    A radius so small or so large that the rate over- or underflows is a
+    ValueError naming r_s.
     """
     if spectrum.omega_min == 0.0:
-        return closed_form_emission_rate(spectrum.r_s, spectrum)
-    u_min = spectrum.u_min
-    if u_min >= U_TRUNCATION - 1.0:
+        rate = closed_form_emission_rate(spectrum.r_s, spectrum)
+    else:
+        integral, _ = integrate_adaptive(
+            bose_spectral_kernel, bose_seed_points(spectrum.u_min), quad)
+        rate = spectrum.per_u_rate() * integral
+    if not 0.0 < rate < math.inf:
         raise ValueError(
-            f"omega_min puts the cutoff at u={u_min:.3g}, beyond the resolvable spectrum"
-        )
-    integral, _ = integrate_adaptive(
-        bose_spectral_kernel, _bose_seed_points(u_min), quad)
-    per_u_coeff = spectrum.prefactor() * 27.0 * spectrum.constants.c / (
-        64.0 * math.pi ** 4 * spectrum.r_s)
-    return per_u_coeff * integral
+            f"r_s={spectrum.r_s!r} m puts Lambda_total out of floating-point range")
+    return rate
 
 
 def closed_form_emission_rate(r_s, spectrum: EmissionSpectrum):
@@ -140,7 +148,12 @@ def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:
     return rate_density(spectrum, omega) / total_emission_rate(spectrum)
 
 
-def _bose_seed_points(u_min: float) -> list[float]:
-    # knee of the kernel is near its mode u ~ 1.6; decay sets in past ~10
-    seeds = [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [U_TRUNCATION]
-    return seeds
+def bose_seed_points(u_min: float) -> list[float]:
+    """Breakpoints for integrating the Bose kernel over [u_min, U_TRUNCATION]:
+    the cut-off, the knees above it (the mode is near u ~ 1.6, decay sets in
+    past ~10) and the truncation.  A cut-off within one unit of the
+    truncation leaves no resolvable spectrum (ValueError)."""
+    if u_min >= U_TRUNCATION - 1.0:
+        raise ValueError(
+            f"omega_min puts the cutoff at u={u_min:.3g}, beyond the resolvable spectrum")
+    return [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [U_TRUNCATION]

@@ -23,8 +23,9 @@ from .quadrature import QuadratureSpec, integrate_adaptive
 from .rates import (SuperpositionGeometry, ThermalBathParams, VARIANT_CANONICAL,
                     VARIANT_PRINTED, thermal_bh_rate, thermal_coefficient,
                     thermal_sphere_rate, vacuum_localization_coeff,
-                    thermal_localization_coeff, vacuum_rate, vacuum_overlap)
-from .spectrum import EmissionSpectrum, total_emission_rate, bose_spectral_kernel, U_TRUNCATION
+                    thermal_localization_coeff, vacuum_rate, vacuum_overlap,
+                    _trigamma_im_over_y)
+from .spectrum import EmissionSpectrum, bose_seed_points, bose_spectral_kernel, total_emission_rate
 
 PASS = "PASS"
 WARN = "WARN"
@@ -39,8 +40,8 @@ HEADLINE = {
 }
 
 _GRID_MASSES = (1e22, 3.1622776601683795e26, 1e31)
-_TRIGAMMA_RE = (0.5, 1.0, 2.5, 5.0, 10.0, 20.0)
-_TRIGAMMA_IM = (0.0, 0.5, 2.0, 10.0, 50.0)
+_TRIGAMMA_GRID = [complex(re, im) for re in (0.5, 1.0, 2.5, 5.0, 10.0, 20.0)
+                  for im in (0.0, 0.5, 2.0, 10.0, 50.0)]
 
 
 @dataclass(frozen=True)
@@ -68,38 +69,50 @@ def check_trigamma_anchor() -> CheckResult:
 
 def check_trigamma_recurrence() -> CheckResult:
     worst = 0.0
-    for re in _TRIGAMMA_RE:
-        for im in _TRIGAMMA_IM:
-            z = complex(re, im)
-            lhs = special.trigamma_complex(z)
-            rhs = special.trigamma_complex(z + 1.0) + 1.0 / (z * z)
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
+    for z in _TRIGAMMA_GRID:
+        lhs = special.trigamma_complex(z)
+        rhs = special.trigamma_complex(z + 1.0) + 1.0 / (z * z)
+        worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return _verdict("trigamma_recurrence", worst <= 1e-10,
                     f"psi1(z) = psi1(z+1) + 1/z^2 worst relative residual {worst:.2e} (tol 1e-10)")
 
 
 def check_trigamma_conjugation() -> CheckResult:
     worst = 0.0
-    for re in _TRIGAMMA_RE:
-        for im in _TRIGAMMA_IM:
-            z = complex(re, im)
-            a = special.trigamma_complex(z.conjugate())
-            b = special.trigamma_complex(z).conjugate()
-            worst = max(worst, abs(a - b) / abs(b))
+    for z in _TRIGAMMA_GRID:
+        a = special.trigamma_complex(z.conjugate())
+        b = special.trigamma_complex(z).conjugate()
+        worst = max(worst, abs(a - b) / abs(b))
     return _verdict("trigamma_conjugation", worst <= 1e-12,
                     f"conjugation symmetry worst relative deviation {worst:.2e} (tol 1e-12)")
 
 
-def check_trigamma_vs_series() -> CheckResult:
+def check_trigamma_shift_threshold() -> CheckResult:
+    # at |z| = SHIFT_THRESHOLD the asymptotic series must agree with ten
+    # recurrence steps into a deeper (more accurate) asymptotic region
     worst = 0.0
-    for re in _TRIGAMMA_RE:
-        for im in _TRIGAMMA_IM:
-            z = complex(re, im)
-            fast = special.trigamma_complex(z)
-            slow = numeric.trigamma_series(z)
-            worst = max(worst, abs(fast - slow) / abs(slow))
-    return _verdict("trigamma_vs_series", worst <= 1e-9,
-                    f"recurrence+asymptotic vs direct series worst relative {worst:.2e} (tol 1e-9)")
+    for direction in (1.0 + 0.0j, 0.6 + 0.8j, 0.0 + 1.0j):
+        z = special.SHIFT_THRESHOLD * direction
+        deep = (sum(1.0 / ((z + k) * (z + k)) for k in range(10))
+                + special.trigamma_asymptotic(z + 10.0))
+        worst = max(worst, abs(special.trigamma_asymptotic(z) - deep) / abs(deep))
+    return _verdict("trigamma_shift_threshold", worst < 1e-12,
+                    f"asymptotic series at |z| = {special.SHIFT_THRESHOLD:g} vs ten recurrence "
+                    f"steps deeper, worst relative {worst:.2e} (tol 1e-12)")
+
+
+def check_trigamma_vs_series() -> CheckResult:
+    worst = worst_overlap = 0.0
+    for z in _TRIGAMMA_GRID:
+        slow = numeric.trigamma_series(z)
+        worst = max(worst, abs(special.trigamma_complex(z) - slow) / abs(slow))
+        if z.real == 1.0 and z.imag > 0.0:
+            # the real-arithmetic routine behind vacuum_overlap and the rates
+            ref = -slow.imag / z.imag
+            worst_overlap = max(worst_overlap, abs(_trigamma_im_over_y(z.imag) - ref) / ref)
+    return _verdict("trigamma_vs_series", max(worst, worst_overlap) <= 1e-9,
+                    f"recurrence+asymptotic vs direct series worst relative {worst:.2e}, "
+                    f"rates' -Im psi1(1+iy)/y vs series {worst_overlap:.2e} (tol 1e-9)")
 
 
 def check_zeta_table() -> CheckResult:
@@ -120,10 +133,9 @@ def check_emission_saturation() -> CheckResult:
         spec = EmissionSpectrum(r_s=r_s)
         closed = total_emission_rate(spec)
         integral, _ = integrate_adaptive(
-            bose_spectral_kernel, [0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION],
+            bose_spectral_kernel, bose_seed_points(0.0),
             QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16))
-        numeric_rate = spec.prefactor() * 27.0 * spec.constants.c / (
-            64.0 * math.pi ** 4 * r_s) * integral
+        numeric_rate = spec.per_u_rate() * integral
         worst = max(worst, abs(closed - numeric_rate) / numeric_rate)
     return _verdict("emission_saturation", worst <= 1e-8,
                     f"closed Lambda_total vs quadrature worst relative {worst:.2e} (tol 1e-8)")
@@ -284,6 +296,7 @@ def run_checks() -> list[CheckResult]:
         check_trigamma_anchor(),
         check_trigamma_recurrence(),
         check_trigamma_conjugation(),
+        check_trigamma_shift_threshold(),
         check_trigamma_vs_series(),
         check_zeta_table(),
         check_emission_saturation(),

@@ -1,6 +1,7 @@
 """Kinematics of the hole itself: radius, temperature, lifetime, mass history."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +127,30 @@ def test_domain_errors():
         mass_at_time(1.0, -1e-20)
     with pytest.raises(ValueError):
         mass_at_time(1.0, evaporation_time(1.0))
+
+
+@pytest.mark.parametrize("function, mass", [
+    (schwarzschild_radius, 1e-300),   # R_s underflows to 0
+    (hawking_temperature, 1e-290),    # T_H overflows
+    (hawking_temperature, 1e-300),    # 8 pi G M k_B underflows to 0
+    (evaporation_time, 1e-120),       # M^3 underflows to 0
+    (evaporation_time, 1e120),        # M^3 overflows
+    (lambda m: mass_at_time(m, 0.0), 1e120),
+    (lambda m: BlackHole(m).t_evaporation, 1e300),
+])
+def test_out_of_range_results_name_the_mass(function, mass):
+    with pytest.raises(ValueError, match=re.escape(f"mass={mass!r} kg")):
+        function(mass)
+
+
+def test_values_near_the_range_edges_are_unchanged():
+    # results that still fit a double, subnormal ones included, keep their bits
+    assert schwarzschild_radius(1e-290).hex() == "0x0.00000002ddebfp-1022"
+    assert schwarzschild_radius(1.7e308).hex() == "0x1.bd1c2226065b2p+934"
+    assert hawking_temperature(1e-250).hex() == "0x1.224c2937bfd9fp+907"
+    assert hawking_temperature(1.7e308).hex() == "0x1.b794118f8f51fp-948"
+    assert evaporation_time(1e-100).hex() == "0x0.000000103c7fdp-1022"
+    assert evaporation_time(1e100).hex() == "0x1.219e58c2192c8p+943"
 
 
 def test_blackhole_dataclass():

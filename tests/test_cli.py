@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hawkdeco import cli, special
+from hawkdeco import QuadratureAccuracyError, cli, special
 from hawkdeco.verification import FAIL, PASS, WARN
 
 M_SUN = 1.99e30
@@ -118,6 +118,38 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv, option):
     assert out == ""
     assert err.startswith("error: ") and option in err
     assert "Traceback" not in err and "nan" not in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("info", "--mass", "1e120"), "mass=1e+120 kg"),   # M^3 overflows in t_bh
+    (("info", "--mass", "1e-290"), "r_s="),            # Lambda_total overflows
+    (("evolve", "--mass", "1e120", "--dx-over-rs", "1", "--t-max", "1", "--steps", "4"),
+     "mass=1e+120 kg"),
+    (("rate", "--mass", "1e-280", "--dx", "1e-300"), "r_s="),
+    (("rate", "--mass", "1e-300", "--dx-over-rs", "1"), "mass=1e-300 kg"),  # R_s is 0
+])
+def test_extreme_masses_are_usage_errors(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+def test_heaviest_masses_still_give_rates(capsys):
+    code, out, err = run(capsys, "rate", "--mass", "1e300", "--dx-over-rs", "1")
+    assert code == 0 and err == ""
+    assert 0.0 < float(out.splitlines()[1].split(",")[0]) < math.inf
+
+
+def test_quadrature_failure_is_a_usage_error(capsys, monkeypatch):
+    def run_checks():
+        raise QuadratureAccuracyError("subdivision budget exhausted", 1e-6, 1e-10)
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: subdivision budget exhausted")
 
 
 def test_sweep_header_and_shape(capsys):
@@ -251,6 +283,7 @@ def test_verify_passes_with_moon_warning(capsys):
         status, rest = line.split(" ", 1)
         statuses[rest.split(":")[0]] = status
     assert statuses["moon_discrepancy"] == WARN
+    assert statuses["trigamma_shift_threshold"] == PASS
     assert all(s == PASS for name, s in statuses.items() if name != "moon_discrepancy")
     assert lines[-1].endswith("0 failed")
     moon_line = next(l for l in lines if "moon_discrepancy" in l)

@@ -18,7 +18,9 @@ from hawkdeco import (
     vacuum_overlap,
     vacuum_rate,
 )
+from hawkdeco import numeric
 from hawkdeco.numeric import overlap_numeric_detail, rate_numeric_detail
+from hawkdeco.spectrum import U_TRUNCATION
 
 M_EARTH = 5.97e24
 
@@ -146,3 +148,47 @@ def test_cutoff_beyond_truncation_rejected():
     spec = EmissionSpectrum(r_s=1.0, omega_min=41.0 * c / (4.0 * math.pi))
     with pytest.raises(ValueError):
         overlap_numeric(geom, spectrum=spec)
+
+
+def test_cutoff_rejected_on_every_rate_branch():
+    c = EmissionSpectrum(r_s=1.0).constants.c
+    spec = EmissionSpectrum(r_s=1.0, omega_min=41.0 * c / (4.0 * math.pi))
+    for dx_over_rs in (0.0, 1.0, 100.0):  # alpha = 0, < 1 and > 1
+        with pytest.raises(ValueError, match="cutoff"):
+            rate_numeric(geom_at(dx_over_rs), spectrum=spec)
+
+
+def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
+    value = rate_numeric(geom_at(1.0))
+
+    def fail(*args):
+        raise AssertionError("denominator integrated on the alpha < 1 branch")
+
+    monkeypatch.setattr(numeric, "_denominator", fail)
+    assert rate_numeric(geom_at(1.0)) == value
+    with pytest.raises(AssertionError):
+        rate_numeric(geom_at(100.0))
+
+
+def _seed_points_loop(u_min, alpha):
+    # The oracle's former loop-based seed grid, kept as a reference.
+    seeds = {u_min, U_TRUNCATION}
+    for p in (0.5, 2.0, 8.0, 20.0):
+        if u_min < p < U_TRUNCATION:
+            seeds.add(p)
+    k = 1
+    while k * math.pi / alpha < U_TRUNCATION:
+        if k * math.pi / alpha > u_min:
+            seeds.add(k * math.pi / alpha)
+        k += 1
+        if k > 64:
+            break
+    return sorted(seeds)
+
+
+@pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 10.0, 30.0])
+def test_seed_points_match_loop_reference(u_min):
+    # a regular grid plus alphas whose sinc zeros land on a knee (8, 20)
+    alphas = list(np.linspace(0.0, 1.0, 401)[1:]) + [1e-3, math.pi / 4.0, math.pi / 10.0]
+    for alpha in alphas:
+        assert numeric._seed_points(u_min, alpha) == _seed_points_loop(u_min, alpha)

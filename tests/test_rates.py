@@ -12,6 +12,7 @@ from hawkdeco import (
     CODATA2018,
     DecoherenceResult,
     DipoleApproximationWarning,
+    EmissionSpectrum,
     SuperpositionGeometry,
     ThermalBathParams,
     VARIANT_CANONICAL,
@@ -318,6 +319,15 @@ def test_thermal_coefficient_value():
     assert d == pytest.approx(direct, rel=1e-14)
 
 
+def test_shared_coefficients_keep_their_bits():
+    # the one thermal prefactor and the one per-u emission coefficient give
+    # the bits the separate copies gave
+    assert thermal_coefficient().hex() == "0x1.d7c0026fd71e7p-5"
+    assert EmissionSpectrum(r_s=1.0).per_u_rate().hex() == "0x1.3cfd585d2acd2p+20"
+    assert EmissionSpectrum(r_s=1.0916e-4, polarizations=3, species_multiplicity=5
+                            ).per_u_rate().hex() == "0x1.4c532b83335b7p+36"
+
+
 def test_thermal_bh_time_at_one_radius():
     geom = geom_at(1.0, r_s=schwarzschild_radius(M_EARTH))
     tau = 1.0 / thermal_bh_rate(geom)
@@ -421,6 +431,9 @@ def test_localization_times():
         planck_localization_time(1e9, mode="bath")
     with pytest.raises(ValueError):
         planck_localization_time(-1.0)
+    for mass in (1e-120, 1e120):  # M^3 under- and overflows
+        with pytest.raises(ValueError, match="mass="):
+            planck_localization_time(mass)
 
 
 def test_localization_lifetime_ratios():

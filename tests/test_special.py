@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hawkdeco import sinc, trigamma_complex, zeta_int
+from hawkdeco import sinc, special, trigamma_complex, verification, zeta_int
 from hawkdeco.special import one_minus_sinc, zeta_series
+from hawkdeco.verification import (FAIL, PASS, check_trigamma_shift_threshold,
+                                   check_trigamma_vs_series)
 
 # Directly-summed reference values (series with Euler-Maclaurin tail,
 # checked against the published decimal expansions).
@@ -142,3 +144,20 @@ def test_one_minus_sinc_branch_continuity():
     direct = lambda x: 1.0 - math.sin(x) / x
     assert one_minus_sinc(below) == pytest.approx(direct(below), rel=1e-12)
     assert one_minus_sinc(above) == pytest.approx(direct(above), rel=1e-12)
+
+
+def test_shift_threshold_check():
+    assert check_trigamma_shift_threshold().status == PASS
+    with pytest.MonkeyPatch.context() as mp:
+        # the Bernoulli tail is far from converged at |z| = 3
+        mp.setattr(special, "SHIFT_THRESHOLD", 3.0)
+        assert check_trigamma_shift_threshold().status == FAIL
+
+
+def test_series_check_covers_the_overlap_routine(monkeypatch):
+    result = check_trigamma_vs_series()
+    assert result.status == PASS and "-Im psi1(1+iy)/y" in result.detail
+    # a 1e-8 relative error in the routine the rates run must fail the check
+    exact = verification._trigamma_im_over_y
+    monkeypatch.setattr(verification, "_trigamma_im_over_y", lambda y: exact(y) * (1.0 + 1e-8))
+    assert check_trigamma_vs_series().status == FAIL

@@ -7,7 +7,7 @@ import pytest
 
 from hawkdeco import EmissionSpectrum, QuadratureSpec, frequency_pdf, rate_density, total_emission_rate
 from hawkdeco.quadrature import integrate_adaptive
-from hawkdeco.spectrum import U_TRUNCATION, bose_spectral_kernel
+from hawkdeco.spectrum import U_TRUNCATION, bose_seed_points, bose_spectral_kernel
 
 ZETA3 = 1.2020569031595942854
 R_S_MOON = 1.0916e-4  # horizon radius of a 7.35e22 kg hole, metres
@@ -169,3 +169,26 @@ def test_spectrum_validation():
         EmissionSpectrum(r_s=1.0, species_multiplicity=0)
     with pytest.raises(ValueError):
         EmissionSpectrum(r_s=1.0, omega_min=-1.0)
+
+
+def test_per_u_rate_times_full_integral_is_lambda_total():
+    for r_s in (1e-6, R_S_MOON, 1e6):
+        spec = EmissionSpectrum(r_s=r_s, polarizations=4, species_multiplicity=3)
+        assert spec.per_u_rate() * 2.0 * ZETA3 == pytest.approx(
+            total_emission_rate(spec), rel=1e-14)
+
+
+def test_lambda_total_out_of_range_names_r_s():
+    # R_s ~ 1.5e-307 m puts Lambda_total past the largest double, and
+    # R_s = 1e307 m underflows it to 0 inside the closed form
+    for r_s in (1.485232053823733e-307, 1e307):
+        with pytest.raises(ValueError, match="r_s="):
+            total_emission_rate(EmissionSpectrum(r_s=r_s))
+
+
+def test_bose_seed_points():
+    assert bose_seed_points(0.0) == [0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION]
+    assert bose_seed_points(2.0) == [2.0, 8.0, 20.0, U_TRUNCATION]
+    assert bose_seed_points(30.0) == [30.0, U_TRUNCATION]
+    with pytest.raises(ValueError, match="cutoff"):
+        bose_seed_points(U_TRUNCATION - 1.0)
