@@ -11,12 +11,15 @@ All quantities are SI.  The relations implemented here are
 The evaporation law treats the hole as a quasi-static emitter whose mass
 loss rate follows from the Stefan-Boltzmann-like M^-2 luminosity, which
 integrates to the cubic-root depletion above.  A mass whose radius,
-temperature or lifetime over- or underflows a double is a ValueError.
+temperature or lifetime overflows a double, or underflows below its
+normal range (sys.float_info.min, where digits start to be lost), is a
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -39,33 +42,46 @@ CODATA2018 = PhysicalConstants(
 )
 
 
-def _check_mass(mass: float, name: str = "mass") -> None:
-    if not mass > 0.0:
-        raise ValueError(f"{name} must be positive, got {mass}")
+def _positive(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
-def _in_range(what: str, mass: float, compute) -> float:
-    # compute(), unless it over- or underflows: then no double holds the answer
+def _non_negative(name: str, value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    return value
+
+
+def _in_range(what: str, compute, culprit: str, *args: float,
+              lowest: float = sys.float_info.min) -> float:
+    """compute(), unless it overflows or falls below `lowest`: then no double
+    holds the answer to full precision, and the ValueError names the
+    culprit, culprit.format(*args) (formatted only then).  Rates pass
+    lowest=0.0, because a rate may underflow to zero."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if value == 0.0 or value == math.inf:
-        raise ValueError(f"mass={mass!r} kg puts {what} out of floating-point range")
+    if not lowest <= value < math.inf:
+        raise ValueError(
+            f"{culprit.format(*args)} puts {what}={value!r} out of floating-point range")
     return value
 
 
 def schwarzschild_radius(mass: float, constants: PhysicalConstants = CODATA2018) -> float:
     """R_s = 2 G M / c^2 in metres.  mass must be positive."""
-    _check_mass(mass)
-    return _in_range("r_s", mass, lambda: 2.0 * constants.G * mass / constants.c ** 2)
+    _positive("mass", mass)
+    return _in_range("r_s", lambda: 2.0 * constants.G * mass / constants.c ** 2,
+                     "mass={!r} kg", mass)
 
 
 def hawking_temperature(mass: float, constants: PhysicalConstants = CODATA2018) -> float:
     """Hawking temperature T_H = hbar c^3 / (8 pi G M k_B) in kelvin."""
-    _check_mass(mass)
-    return _in_range("T_H", mass, lambda: constants.hbar * constants.c ** 3 / (
-        8.0 * math.pi * constants.G * mass * constants.k_B))
+    _positive("mass", mass)
+    return _in_range("T_H", lambda: constants.hbar * constants.c ** 3 / (
+        8.0 * math.pi * constants.G * mass * constants.k_B), "mass={!r} kg", mass)
 
 
 def planck_length(constants: PhysicalConstants = CODATA2018) -> float:
@@ -78,10 +94,10 @@ def evaporation_time(mass: float, constants: PhysicalConstants = CODATA2018) -> 
 
     Photon-only greybody luminosity; about 8.4e-17 s for one kilogram.
     """
-    _check_mass(mass)
+    _positive("mass", mass)
     g2 = constants.G * constants.G
-    return _in_range("t_bh", mass, lambda: 5120.0 * math.pi * g2 * mass ** 3 / (
-        constants.hbar * constants.c ** 4))
+    return _in_range("t_bh", lambda: 5120.0 * math.pi * g2 * mass ** 3 / (
+        constants.hbar * constants.c ** 4), "mass={!r} kg", mass)
 
 
 def mass_at_time(mass0: float, t: float, constants: PhysicalConstants = CODATA2018) -> float:
@@ -90,9 +106,8 @@ def mass_at_time(mass0: float, t: float, constants: PhysicalConstants = CODATA20
     Valid for 0 <= t < t_bh; at or beyond the lifetime the hole is gone and
     a ValueError is raised rather than returning a complex or zero mass.
     """
-    _check_mass(mass0, "mass0")
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    _positive("mass0", mass0)
+    _non_negative("t", t)
     t_bh = evaporation_time(mass0, constants)
     if t >= t_bh:
         raise ValueError(f"t={t} is at or past the evaporation time {t_bh}")
@@ -107,7 +122,7 @@ class BlackHole:
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
-        _check_mass(self.mass)
+        _positive("mass", self.mass)
 
     @property
     def r_s(self) -> float:

@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .blackhole import BlackHole, CODATA2018, planck_length, schwarzschild_radius
+from .blackhole import (BlackHole, CODATA2018, _non_negative, _positive, planck_length,
+                        schwarzschild_radius)
 from .evolution import evolve_coherence
 from .quadrature import QuadratureAccuracyError
 from .rates import (SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_PRINTED,
@@ -31,9 +32,9 @@ _PRINTED_NOTICE = (
 
 
 def _fmt(x) -> str:
-    # one output cell: nine significant digits or "inf" for a float, "" for None
+    # one output cell: nine significant digits (or "inf") for a float, "" for None
     if isinstance(x, float):
-        return "inf" if math.isinf(x) else f"{x:.8e}"
+        return f"{x:.8e}"
     return "" if x is None else str(x)
 
 
@@ -76,18 +77,6 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
                 cells.append(_fmt(v))
             lines.append(",".join(cells))
         _write(args, lines)
-
-
-def _positive(name: str, value: float) -> float:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-    return value
-
-
-def _non_negative(name: str, value: float) -> float:
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    return value
 
 
 def _resolve_geometry(args) -> SuperpositionGeometry:
@@ -213,7 +202,9 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _write(args, {
             "meta": {"command": "verify", "checks": len(results), "failed": failed},
-            "rows": [{"name": r.name, "status": r.status, "detail": r.detail}
+            # an infinite value (a non-finite deviation) is written "inf", as elsewhere
+            "rows": [{"name": r.name, "status": r.status, "detail": r.detail,
+                      "value": r.value if r.value < math.inf else "inf", "tol": r.tol}
                      for r in results],
         })
     else:

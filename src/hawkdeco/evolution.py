@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import CODATA2018, PhysicalConstants, evaporation_time, schwarzschild_radius
+from .blackhole import (CODATA2018, PhysicalConstants, _positive, evaporation_time,
+                        schwarzschild_radius)
 from .rates import SuperpositionGeometry, canonical_rate_array, vacuum_rate
 
 # geom.r_s must describe the same hole as mass0; allow rounding slack
@@ -84,8 +85,7 @@ def evolve_coherence(
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if not t_max > 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    _positive("t_max", t_max)
     r_s0 = schwarzschild_radius(mass0, constants)
     if abs(geom.r_s - r_s0) > _GEOMETRY_CONSISTENCY * r_s0:
         raise ValueError(

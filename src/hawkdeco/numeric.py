@@ -34,7 +34,7 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive
 from .rates import SuperpositionGeometry
-from .special import one_minus_sinc, sinc
+from .special import _trigamma_domain, one_minus_sinc, sinc
 from .spectrum import EmissionSpectrum, U_TRUNCATION, bose_seed_points, bose_spectral_kernel
 
 # Past this many sinc lobes the remaining alternating series is
@@ -55,9 +55,7 @@ def trigamma_series(z: complex, terms: int = 10000) -> complex:
     rounded.  Every step is thus a correctly rounded IEEE-754 operation,
     so the result is the same to the last bit on any platform and numpy
     build."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"trigamma pole at non-positive integer z={z.real}")
+    z = _trigamma_domain(z)
     if terms < 100:
         raise ValueError(f"terms must be at least 100, got {terms}")
     x, y = z.real, z.imag

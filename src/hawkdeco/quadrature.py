@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .blackhole import _positive
+
 # Kronrod-15 abscissae (positive half) and weights, with the embedded
 # Gauss-7 weights on the shared nodes.  Standard published values.
 _XGK_HALF = np.array([
@@ -58,10 +60,8 @@ class QuadratureSpec:
     max_subdivisions: int = 10000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        _positive("rel_tol", self.rel_tol)
+        _positive("abs_tol", self.abs_tol)
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 

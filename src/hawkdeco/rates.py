@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import (CODATA2018, PhysicalConstants, _check_mass, _in_range,
+from .blackhole import (CODATA2018, PhysicalConstants, _in_range, _non_negative, _positive,
                         schwarzschild_radius)
 from .special import BERNOULLI_2K, zeta_int
 from .spectrum import EmissionSpectrum, closed_form_emission_rate, total_emission_rate
@@ -84,10 +84,8 @@ class SuperpositionGeometry:
     r_s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta_x < math.inf:
-            raise ValueError(f"delta_x must be finite and non-negative, got {self.delta_x}")
-        if not 0.0 < self.r_s < math.inf:
-            raise ValueError(f"r_s must be finite and positive, got {self.r_s}")
+        _non_negative("delta_x", self.delta_x)
+        _positive("r_s", self.r_s)
         if self.delta_x / self.r_s == math.inf:
             raise ValueError(
                 f"delta_x / r_s must be finite, got {self.delta_x!r} / {self.r_s!r}")
@@ -274,7 +272,8 @@ def vacuum_rate_small_dx(
     """
     coeff = 27.0 * zeta_int(5) / (256.0 * math.pi ** 6)
     x = geom.dx_over_rs
-    return coeff * x * x * constants.c / geom.r_s
+    return _in_range("vacuum_rate_small_dx", lambda: coeff * x * x * constants.c / geom.r_s,
+                     "dx/R_s={!r} at r_s={!r} m", x, geom.r_s, lowest=0.0)
 
 
 def vacuum_rate_saturation(
@@ -300,10 +299,8 @@ class ThermalBathParams:
     temperature: float    # K
 
     def __post_init__(self) -> None:
-        if not self.radius_eff > 0.0:
-            raise ValueError(f"radius_eff must be positive, got {self.radius_eff}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        _positive("radius_eff", self.radius_eff)
+        _positive("temperature", self.temperature)
 
 
 def thermal_sphere_rate(
@@ -323,8 +320,7 @@ def thermal_sphere_rate(
     dominant thermal wavelength hbar c / (k T), where the dipole
     expansion underlying the dx^2 law stops being controlled.
     """
-    if delta_x < 0.0:
-        raise ValueError(f"delta_x must be non-negative, got {delta_x}")
+    _non_negative("delta_x", delta_x)
     if species_multiplicity < 1:
         raise ValueError(f"species_multiplicity must be >= 1, got {species_multiplicity}")
     wavelength = constants.hbar * constants.c / (constants.k_B * params.temperature)
@@ -340,8 +336,11 @@ def thermal_sphere_rate(
             "is extrapolated",
             DipoleApproximationWarning, stacklevel=2)
     thermal_freq = constants.k_B * params.temperature / constants.hbar
-    return (species_multiplicity * _THERMAL_PREFACTOR * params.radius_eff ** 6 * delta_x ** 2
-            * thermal_freq ** 9 / constants.c ** 8)
+    return _in_range("thermal_sphere_rate", lambda: (
+        species_multiplicity * _THERMAL_PREFACTOR * params.radius_eff ** 6 * delta_x ** 2
+        * thermal_freq ** 9 / constants.c ** 8),
+        "delta_x={!r} m, radius_eff={!r} m and temperature={!r} K", delta_x,
+        params.radius_eff, params.temperature, lowest=0.0)
 
 
 def thermal_bh_rate(
@@ -357,7 +356,9 @@ def thermal_bh_rate(
     if species_multiplicity < 1:
         raise ValueError(f"species_multiplicity must be >= 1, got {species_multiplicity}")
     x = geom.dx_over_rs
-    return species_multiplicity * thermal_coefficient() * x * x * constants.c / geom.r_s
+    return _in_range("thermal_bh_rate", lambda: (
+        species_multiplicity * thermal_coefficient() * x * x * constants.c / geom.r_s),
+        "dx/R_s={!r} at r_s={!r} m", x, geom.r_s, lowest=0.0)
 
 
 def thermal_localization_coeff(rounded: bool = False) -> float:
@@ -397,11 +398,11 @@ def planck_localization_time(
     """
     if mode not in ("vacuum", "thermal"):
         raise ValueError(f"mode must be 'vacuum' or 'thermal', got {mode!r}")
-    _check_mass(mass)
+    _positive("mass", mass)
     if mode == "thermal":
         coeff = thermal_localization_coeff(rounded)
     else:
         coeff = vacuum_localization_coeff(rounded)
     g2 = constants.G * constants.G
-    return _in_range("tau", mass, lambda: coeff * g2 * mass ** 3 / (
-        constants.hbar * constants.c ** 4))
+    return _in_range("tau", lambda: coeff * g2 * mass ** 3 / (
+        constants.hbar * constants.c ** 4), "mass={!r} kg", mass)

@@ -114,11 +114,6 @@ def parse_records(text: str, source: str = "<string>") -> dict[str, RegressionRe
     return records
 
 
-def read_records(path: str | Path) -> dict[str, RegressionRecord]:
-    p = Path(path)
-    return parse_records(p.read_text(encoding="utf-8"), source=str(p))
-
-
 def load_default_records() -> dict[str, RegressionRecord]:
     """The committed reference file shipped inside the package."""
     text = resources.files("hawkdeco").joinpath("data", DEFAULT_RESOURCE).read_text("utf-8")

@@ -91,6 +91,16 @@ def zeta_int(n: int) -> float:
     return zeta_series(int(n))
 
 
+def _trigamma_domain(z: complex) -> complex:
+    # complex(z), off the poles; finiteness first, as int() of inf overflows
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z}")
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+        raise ValueError(f"trigamma pole at non-positive integer z={z.real}")
+    return z
+
+
 def trigamma_asymptotic(z: complex) -> complex:
     # 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1), valid away from the negative axis
     inv = 1.0 / z
@@ -110,11 +120,7 @@ def trigamma_complex(z: complex) -> complex:
     psi1(conj z) = conj(psi1(z)) holds exactly because every arithmetic
     step commutes with conjugation.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"trigamma pole at non-positive integer z={z.real}")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"trigamma argument must be finite, got {z}")
+    z = _trigamma_domain(z)
     acc = 0.0 + 0.0j
     while abs(z) < SHIFT_THRESHOLD or z.real < 0.5:
         acc += 1.0 / (z * z)

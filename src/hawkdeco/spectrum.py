@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import CODATA2018, PhysicalConstants
+from .blackhole import CODATA2018, PhysicalConstants, _in_range, _non_negative, _positive
 from .special import zeta_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -50,14 +50,12 @@ class EmissionSpectrum:
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
-        if not self.r_s > 0.0:
-            raise ValueError(f"r_s must be positive, got {self.r_s}")
+        _positive("r_s", self.r_s)
         if self.polarizations < 1:
             raise ValueError(f"polarizations must be >= 1, got {self.polarizations}")
         if self.species_multiplicity < 1:
             raise ValueError(f"species_multiplicity must be >= 1, got {self.species_multiplicity}")
-        if self.omega_min < 0.0:
-            raise ValueError(f"omega_min must be non-negative, got {self.omega_min}")
+        _non_negative("omega_min", self.omega_min)
 
     @property
     def u_min(self) -> float:
@@ -103,8 +101,7 @@ def rate_density(spectrum: EmissionSpectrum, omega: float) -> float:
     Bose pole); negative frequencies are a domain error.  Frequencies
     below the omega_min cutoff return 0.
     """
-    if omega < 0.0:
-        raise ValueError(f"omega must be non-negative, got {omega}")
+    _non_negative("omega", omega)
     if omega == 0.0 or omega < spectrum.omega_min:
         return 0.0
     u = 4.0 * math.pi * omega * spectrum.r_s / spectrum.constants.c
@@ -116,19 +113,17 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
 
     Closed form 27 zeta(3) c / (32 pi^4 R_s) for an uncut spectrum;
     with omega_min > 0 the truncated u-integral is done numerically.
-    A radius so small or so large that the rate over- or underflows is a
-    ValueError naming r_s.
+    A radius so small or so large that the rate overflows or leaves the
+    normal range of a double is a ValueError naming r_s.
     """
-    if spectrum.omega_min == 0.0:
-        rate = closed_form_emission_rate(spectrum.r_s, spectrum)
-    else:
+    def rate():
+        if spectrum.omega_min == 0.0:
+            return closed_form_emission_rate(spectrum.r_s, spectrum)
         integral, _ = integrate_adaptive(
             bose_spectral_kernel, bose_seed_points(spectrum.u_min), quad)
-        rate = spectrum.per_u_rate() * integral
-    if not 0.0 < rate < math.inf:
-        raise ValueError(
-            f"r_s={spectrum.r_s!r} m puts Lambda_total out of floating-point range")
-    return rate
+        return spectrum.per_u_rate() * integral
+
+    return _in_range("Lambda_total", rate, "r_s={!r} m", spectrum.r_s)
 
 
 def closed_form_emission_rate(r_s, spectrum: EmissionSpectrum):

@@ -144,12 +144,15 @@ def test_out_of_range_results_name_the_mass(function, mass):
 
 
 def test_values_near_the_range_edges_are_unchanged():
-    # results that still fit a double, subnormal ones included, keep their bits
-    assert schwarzschild_radius(1e-290).hex() == "0x0.00000002ddebfp-1022"
+    # results in the normal range of a double keep their bits; subnormal ones
+    # have lost digits and are rejected
+    with pytest.raises(ValueError):
+        schwarzschild_radius(1e-290)
     assert schwarzschild_radius(1.7e308).hex() == "0x1.bd1c2226065b2p+934"
     assert hawking_temperature(1e-250).hex() == "0x1.224c2937bfd9fp+907"
     assert hawking_temperature(1.7e308).hex() == "0x1.b794118f8f51fp-948"
-    assert evaporation_time(1e-100).hex() == "0x0.000000103c7fdp-1022"
+    with pytest.raises(ValueError):
+        evaporation_time(1e-100)
     assert evaporation_time(1e100).hex() == "0x1.219e58c2192c8p+943"
 
 

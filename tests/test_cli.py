@@ -299,6 +299,39 @@ def test_verify_json(capsys):
     assert "rate_oracle_grid" in names and "variant_factor_4" in names
 
 
+def test_verify_json_rows_carry_value_and_tolerance(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 24 and len({r["name"] for r in rows}) == 24
+    for row in rows:
+        assert isinstance(row["value"], float) and isinstance(row["tol"], float)
+        expected = WARN if row["name"] == "moon_discrepancy" else PASS
+        assert row["status"] == (expected if row["value"] <= row["tol"] else FAIL)
+        assert row["detail"].endswith(f"(tol {row['tol']:g})")
+    assert [r["status"] for r in rows].count(PASS) == 23
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--mass", "1", "--dx-over-rs", "1e200", "--mode", "thermal"),
+    ("rate", "--mass", "1e-280", "--dx", "1e-300", "--mode", "thermal"),
+    ("sweep", "--mass", "1e-280", "--dx-over-rs", "1", "1e10", "3", "--mode", "thermal"),
+])
+def test_thermal_overflow_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dx/R_s=") and "thermal_bh_rate=inf" in err
+
+
+def test_subnormal_lifetime_is_a_usage_error(capsys):
+    # 8.41147800e-317 was printed, but the lifetime is 8.41147790e-317 s
+    code, out, err = run(capsys, "info", "--mass", "1e-100")
+    assert code == 2
+    assert out == ""
+    assert err == "error: mass=1e-100 kg puts t_bh=8.411478e-317 out of floating-point range\n"
+
+
 def test_verify_detects_constant_perturbation(capsys, monkeypatch):
     """Nudging zeta(3) by 1e-6 must trip the emission-rate cross-check
     while the zeta-free anchors keep passing."""
