@@ -141,9 +141,9 @@ def cmd_rate(args) -> int:
 
 def cmd_sweep(args) -> int:
     start, stop, points = args.dx_over_rs
+    if not (points.is_integer() and points >= 2):
+        raise ValueError(f"--dx-over-rs POINTS must be an integer >= 2, got {points}")
     npts = int(points)
-    if npts != points or npts < 2:
-        raise ValueError(f"sweep needs an integer point count >= 2, got {points}")
     _non_negative("--dx-over-rs START", start)
     _non_negative("--dx-over-rs STOP", stop)
     if not stop > start:

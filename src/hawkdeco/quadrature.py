@@ -8,8 +8,12 @@ which is the behaviour wanted from a cross-check tool: the reported
 estimate should bound the actual error, not flatter it.
 
 Evaluation is batched: the integrand must accept a numpy array and
-return one.  Interval bookkeeping is deterministic (heap ties broken by
-insertion order, final sum taken in left-to-right interval order), so
+return one.  As in QUADPACK's qag, the intervals form an error-ordered
+list rather than a heap: four numpy arrays (left edge, right edge, value,
+error) in insertion order, from which each pass bisects the 32 intervals
+with the largest estimates in one batch.  The bookkeeping is
+deterministic (equal estimates go to the older interval, and the final
+sum runs sequentially left to right across the intervals), so
 identical inputs give bit-identical results on one platform.  Across
 platforms the last bits may differ: the Kronrod sum is a BLAS dot
 product whose kernel depends on the CPU, and numpy's transcendental
@@ -18,7 +22,6 @@ functions in the integrands round differently at different SIMD levels.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -101,25 +104,21 @@ def integrate_adaptive(
     known structure (kernel knees, oscillation zeros) on interval edges
     instead of making the refinement loop rediscover it.
     """
-    pts = sorted(set(float(p) for p in points))
+    pts = np.sort(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("breakpoints must be finite")
+    pts = np.append(pts[:1], pts[1:][pts[1:] > pts[:-1]])
     if len(pts) < 2:
         raise ValueError("need at least two breakpoints")
 
-    a0 = np.array(pts[:-1])
-    b0 = np.array(pts[1:])
-    vals, errs = gk15_batch(f, a0, b0)
-
-    heap = []
-    counter = 0
-    for i in range(len(a0)):
-        heapq.heappush(heap, (-errs[i], counter, a0[i], b0[i], vals[i], errs[i]))
-        counter += 1
-    total_val = float(np.sum(vals))
-    total_err = float(np.sum(errs))
-
+    # Intervals stay in insertion order (survivors, then children left/right
+    # per parent), so a stable sort on -err gives ties to the older interval.
+    a, b = pts[:-1], pts[1:]
+    val, err = gk15_batch(f, a, b)
     splits = 0
     while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total_val))
+        total_err = float(np.sum(err))
+        tol = max(spec.abs_tol, spec.rel_tol * abs(float(np.sum(val))))
         if total_err <= tol:
             break
         if splits >= spec.max_subdivisions:
@@ -127,29 +126,19 @@ def integrate_adaptive(
                 "quadrature did not converge within the subdivision budget",
                 achieved=total_err, target=tol,
             )
-        # split a batch of the worst intervals in one vectorized evaluation
-        batch = []
-        while heap and len(batch) < 32:
-            batch.append(heapq.heappop(heap))
-        an = np.empty(2 * len(batch))
-        bn = np.empty(2 * len(batch))
-        for j, (_, _, ia, ib, ival, ierr) in enumerate(batch):
-            mid = 0.5 * (ia + ib)
-            an[2 * j], bn[2 * j] = ia, mid
-            an[2 * j + 1], bn[2 * j + 1] = mid, ib
-            total_val -= ival
-            total_err -= ierr
+        # bisect a batch of the worst intervals in one vectorized evaluation
+        worst = np.argsort(-err, kind="stable")[:32]
+        wa, wb = a[worst], b[worst]
+        mid = 0.5 * (wa + wb)
+        an = np.column_stack((wa, mid)).ravel()
+        bn = np.column_stack((mid, wb)).ravel()
         nv, ne = gk15_batch(f, an, bn)
-        for j in range(len(an)):
-            heapq.heappush(heap, (-ne[j], counter, an[j], bn[j], nv[j], ne[j]))
-            counter += 1
-        total_val += float(np.sum(nv))
-        total_err += float(np.sum(ne))
-        splits += len(batch)
+        keep = np.ones(len(a), dtype=bool)
+        keep[worst] = False
+        a, b = np.append(a[keep], an), np.append(b[keep], bn)
+        val, err = np.append(val[keep], nv), np.append(err[keep], ne)
+        splits += len(worst)
 
-    # Deterministic final sum: left-to-right across surviving intervals.
-    items = sorted((entry[2], entry[4]) for entry in heap)
-    value = 0.0
-    for _, v in items:
-        value += v
-    return value, total_err
+    # Deterministic final sum: sequential, left to right across intervals
+    # (equal left edges, from an interval too narrow to bisect, by value).
+    return float(np.cumsum(val[np.lexsort((val, a))])[-1]), total_err

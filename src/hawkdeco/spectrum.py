@@ -130,8 +130,12 @@ def closed_form_emission_rate(r_s, spectrum: EmissionSpectrum):
     """Lambda_total = prefactor * 27 zeta(3) c / (32 pi^4 r_s) of an uncut
     spectrum, at the horizon radius r_s instead of spectrum.r_s.  r_s may be
     a float or a numpy array; the bits are the same either way."""
-    base = 27.0 * spectrum.constants.c * zeta_int(3) / (math.pi ** 4 * r_s)
-    return spectrum.prefactor() * base / 32.0
+    # Dividing the constant by 32 is exact, and keeps the quotient by
+    # pi^4 r_s at Lambda_total / prefactor instead of 32 times that, so it
+    # does not overflow before the rate does.  Folding 32 pi^4 r_s into one
+    # product would instead overflow for r_s above ~5.8e304.
+    return spectrum.prefactor() * (27.0 * spectrum.constants.c * zeta_int(3) / 32.0
+                                   / (math.pi ** 4 * r_s))
 
 
 def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:

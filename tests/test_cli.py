@@ -111,6 +111,8 @@ def test_rate_geometry_flags(capsys):
     (("evolve", "--mass", "1e30", "--dx", "1", "--t-max", "inf"), "--t-max"),
     (("sweep", "--mass", "1e30", "--dx-over-rs", "1", "inf", "3"), "--dx-over-rs"),
     (("info", "--mass", "nan"), "--mass"),
+    (("sweep", "--mass", "1", "--dx-over-rs", "1", "10", "inf"), "--dx-over-rs POINTS"),
+    (("sweep", "--mass", "1", "--dx-over-rs", "1", "10", "nan"), "--dx-over-rs POINTS"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, *argv)
@@ -137,6 +139,14 @@ def test_extreme_masses_are_usage_errors(capsys, argv, named):
 
 def test_heaviest_masses_still_give_rates(capsys):
     code, out, err = run(capsys, "rate", "--mass", "1e300", "--dx-over-rs", "1")
+    assert code == 0 and err == ""
+    assert 0.0 < float(out.splitlines()[1].split(",")[0]) < math.inf
+
+
+def test_lightest_masses_with_a_representable_rate_give_rates(capsys):
+    # R_s = 4.46e-301 m: Lambda_total ~ 7e306 s^-1 fits a double although
+    # 27 c zeta(3) / (pi^4 R_s) alone does not
+    code, out, err = run(capsys, "rate", "--mass", "3e-274", "--dx-over-rs", "1e4")
     assert code == 0 and err == ""
     assert 0.0 < float(out.splitlines()[1].split(",")[0]) < math.inf
 

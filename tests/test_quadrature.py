@@ -1,10 +1,79 @@
 """Adaptive Gauss-Kronrod integrator: exactness, honesty, determinism."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from hawkdeco import QuadratureAccuracyError, QuadratureSpec, integrate_adaptive
+from hawkdeco.numeric import _seed_points, _sinc_zeros
 from hawkdeco.quadrature import gk15_batch
+from hawkdeco.special import sinc
+from hawkdeco.spectrum import bose_seed_points, bose_spectral_kernel
+
+
+def heap_integrate_adaptive(f, points, spec=QuadratureSpec()):
+    """Reference split order: the heap-based loop the array version replaced.
+
+    A heap keyed on (-err, insertion counter) pops the 32 worst intervals per
+    pass; totals are kept as running sums; the final value is a sequential
+    left-to-right sum."""
+    pts = sorted(set(float(p) for p in points))
+    a0, b0 = np.array(pts[:-1]), np.array(pts[1:])
+    vals, errs = gk15_batch(f, a0, b0)
+    heap = []
+    counter = 0
+    for i in range(len(a0)):
+        heapq.heappush(heap, (-errs[i], counter, a0[i], b0[i], vals[i], errs[i]))
+        counter += 1
+    total_val = float(np.sum(vals))
+    total_err = float(np.sum(errs))
+    splits = 0
+    while True:
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total_val))
+        if total_err <= tol:
+            break
+        if splits >= spec.max_subdivisions:
+            raise QuadratureAccuracyError("budget", achieved=total_err, target=tol)
+        batch = []
+        while heap and len(batch) < 32:
+            batch.append(heapq.heappop(heap))
+        an = np.empty(2 * len(batch))
+        bn = np.empty(2 * len(batch))
+        for j, (_, _, ia, ib, ival, ierr) in enumerate(batch):
+            mid = 0.5 * (ia + ib)
+            an[2 * j], bn[2 * j] = ia, mid
+            an[2 * j + 1], bn[2 * j + 1] = mid, ib
+            total_val -= ival
+            total_err -= ierr
+        nv, ne = gk15_batch(f, an, bn)
+        for j in range(len(an)):
+            heapq.heappush(heap, (-ne[j], counter, an[j], bn[j], nv[j], ne[j]))
+            counter += 1
+        total_val += float(np.sum(nv))
+        total_err += float(np.sum(ne))
+        splits += len(batch)
+    value = 0.0
+    for _, v in sorted((entry[2], entry[4]) for entry in heap):
+        value += v
+    return value, total_err
+
+
+def bose_sinc(alpha):
+    return lambda u: bose_spectral_kernel(u) * sinc(alpha * u)
+
+
+REFERENCE_CASES = {
+    "sqrt": (np.sqrt, [0.0, 1.0]),
+    # mirror-image panels give exactly equal error estimates
+    "sqrt_abs_tie_2": (lambda x: np.sqrt(np.abs(x)), [-1.0, 0.0, 1.0]),
+    "sqrt_abs_tie_4": (lambda x: np.sqrt(np.abs(x)), [-2.0, -1.0, 0.0, 1.0, 2.0]),
+    "bose_u0": (bose_spectral_kernel, bose_seed_points(0.0)),
+    "bose_u2": (bose_spectral_kernel, bose_seed_points(2.0)),
+    "bose_sinc_0.215": (bose_sinc(0.215), _seed_points(0.0, 0.215)),
+    # the oracle's explicit head of 2048 sinc lobes
+    "bose_sinc_250": (bose_sinc(250.0), _sinc_zeros(250.0, 0.0)[:2049]),
+}
 
 
 def test_gk15_polynomial_exactness():
@@ -70,6 +139,9 @@ def test_breakpoint_handling():
         integrate_adaptive(np.exp, [1.0])
     with pytest.raises(ValueError):
         integrate_adaptive(np.exp, [1.0, 1.0])
+    for bad in ([0.0, np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adaptive(np.exp, bad)
 
 
 def test_deterministic_results():
@@ -77,6 +149,35 @@ def test_deterministic_results():
     a = integrate_adaptive(f, [0.0, 2.0, 7.0])
     b = integrate_adaptive(f, [0.0, 2.0, 7.0])
     assert a == b
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_split_order_matches_heap_reference(case):
+    f, seeds = REFERENCE_CASES[case]
+    value, err = integrate_adaptive(f, seeds)
+    ref_value, ref_err = heap_integrate_adaptive(f, seeds)
+    assert value == ref_value
+    assert err == pytest.approx(ref_err, rel=1e-11, abs=0.0)
+
+
+def test_budget_exhaustion_matches_heap_reference():
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=40)
+    results = []
+    for integrate in (integrate_adaptive, heap_integrate_adaptive):
+        nodes = []
+
+        def f(x):
+            nodes.append(len(x))
+            return np.sqrt(np.abs(x))
+
+        with pytest.raises(QuadratureAccuracyError) as exc:
+            integrate(f, [-1.0, 0.0, 1.0], spec)
+        results.append((nodes, exc.value.achieved, exc.value.target))
+    (nodes, achieved, target), (ref_nodes, ref_achieved, ref_target) = results
+    assert nodes == ref_nodes  # the same batches, so the same number of splits
+    assert achieved > target
+    assert achieved == pytest.approx(ref_achieved, rel=1e-11, abs=0.0)
+    assert target == pytest.approx(ref_target, rel=1e-11, abs=0.0)
 
 
 def test_nonfinite_integrand_rejected():

@@ -186,6 +186,15 @@ def test_lambda_total_out_of_range_names_r_s():
             total_emission_rate(EmissionSpectrum(r_s=r_s))
 
 
+def test_lambda_total_near_the_overflow_edge():
+    # Lambda_total ~ 7e306 s^-1 fits a double here, and so must every
+    # intermediate of the closed form
+    r_s = 4.455696161471198e-301
+    rate = total_emission_rate(EmissionSpectrum(r_s=r_s))
+    assert math.isfinite(rate)
+    assert rate == pytest.approx(total_emission_rate(EmissionSpectrum(r_s=1.0)) / r_s, rel=1e-15)
+
+
 def test_bose_seed_points():
     assert bose_seed_points(0.0) == [0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION]
     assert bose_seed_points(2.0) == [2.0, 8.0, 20.0, U_TRUNCATION]
