@@ -19,6 +19,7 @@ ValueError.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -52,6 +53,18 @@ def _non_negative(name: str, value: float) -> float:
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
     return value
+
+
+def _count(name: str, value: int, least: int = 1) -> int:
+    """value as an int, if it is an int or numpy integer of at least `least`;
+    NaN, inf and 2.5 are ValueErrors like a count that is too small."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = least - 1
+    if count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 def _in_range(what: str, compute, culprit: str, *args: float,

@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .blackhole import (BlackHole, CODATA2018, _non_negative, _positive, planck_length,
-                        schwarzschild_radius)
+from .blackhole import (BlackHole, CODATA2018, _count, _non_negative, _positive,
+                        planck_length, schwarzschild_radius)
 from .evolution import evolve_coherence
 from .quadrature import QuadratureAccuracyError
 from .rates import (SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_PRINTED,
@@ -173,8 +173,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_evolve(args) -> int:
     _positive("--t-max", args.t_max)
+    _count("--steps", args.steps, 2)
     geom = _resolve_geometry(args)
-    trace = evolve_coherence(geom, args.mass, args.t_max, args.steps,
+    trace = evolve_coherence(args.mass, geom.delta_x, args.t_max, args.steps,
                              evaporate=args.evaporate,
                              species_multiplicity=args.species)
     res = vacuum_rate(geom, species_multiplicity=args.species)
@@ -276,6 +277,7 @@ def main(argv=None) -> int:
     try:
         if args.command != "verify":
             _positive("--mass", args.mass)
+            _count("--species", args.species)
         return args.func(args)
     except (ValueError, QuadratureAccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

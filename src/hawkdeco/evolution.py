@@ -23,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import (CODATA2018, PhysicalConstants, _positive, evaporation_time,
+from .blackhole import (CODATA2018, PhysicalConstants, _count, _positive, evaporation_time,
                         schwarzschild_radius)
 from .rates import SuperpositionGeometry, canonical_rate_array, vacuum_rate
-
-# geom.r_s must describe the same hole as mass0; allow rounding slack
-_GEOMETRY_CONSISTENCY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,28 +66,22 @@ def _cumulative_parabolic(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def evolve_coherence(
-    geom: SuperpositionGeometry,
     mass0: float,
+    delta_x: float,
     t_max: float,
     steps: int,
     evaporate: bool = False,
     constants: PhysicalConstants = CODATA2018,
     species_multiplicity: int = 1,
 ) -> CoherenceTrace:
-    """Integrate the decoherence exponent over [0, t_max] on `steps`
-    uniform intervals.
+    """Integrate the decoherence exponent of branches delta_x apart, on a
+    hole of initial mass mass0, over [0, t_max] on `steps` uniform intervals.
 
-    geom must be the t = 0 geometry of the hole of mass mass0 (checked);
-    with evaporate on, t_max must stay short of the evaporation time.
+    With evaporate on, t_max must stay short of the evaporation time.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    steps = _count("steps", steps, 2)
     _positive("t_max", t_max)
-    r_s0 = schwarzschild_radius(mass0, constants)
-    if abs(geom.r_s - r_s0) > _GEOMETRY_CONSISTENCY * r_s0:
-        raise ValueError(
-            f"geometry r_s={geom.r_s!r} does not match mass0={mass0!r} "
-            f"(expected r_s={r_s0!r})")
+    geom = SuperpositionGeometry(delta_x, schwarzschild_radius(mass0, constants))
 
     t_bh = evaporation_time(mass0, constants)
     if evaporate and t_max >= t_bh:
@@ -104,8 +95,8 @@ def evolve_coherence(
         masses = mass0 * (1.0 - times / t_bh) ** (1.0 / 3.0)
         r_s = 2.0 * constants.G * masses / constants.c ** 2
         # raises unless the geometry is valid at the smallest radius, where dx/R_s peaks
-        SuperpositionGeometry(geom.delta_x, float(r_s.min()))
-        rates = canonical_rate_array(geom.delta_x, r_s, constants, species_multiplicity)
+        SuperpositionGeometry(delta_x, float(r_s.min()))
+        rates = canonical_rate_array(delta_x, r_s, constants, species_multiplicity)
     else:
         masses = np.full(steps + 1, mass0)
         rates = np.full(steps + 1, vacuum_rate(

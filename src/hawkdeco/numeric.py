@@ -28,10 +28,10 @@ series-stabilized 1 - sinc kernel.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
+from .blackhole import _count
 from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive
 from .rates import SuperpositionGeometry
 from .special import _trigamma_domain, one_minus_sinc, sinc
@@ -56,8 +56,7 @@ def trigamma_series(z: complex, terms: int = 10000) -> complex:
     so the result is the same to the last bit on any platform and numpy
     build."""
     z = _trigamma_domain(z)
-    if terms < 100:
-        raise ValueError(f"terms must be at least 100, got {terms}")
+    terms = _count("terms", terms, 100)
     x, y = z.real, z.imag
     a = x + np.arange(terms + 1, dtype=float)
     d = a * a + y * y
@@ -75,16 +74,28 @@ def trigamma_series(z: complex, terms: int = 10000) -> complex:
 def trigamma_series_error_bound(z: complex, terms: int = 10000) -> float:
     """Truncation bound for trigamma_series: the next Euler-Maclaurin
     correction 1/(6 |z+N|^3), padded 2x for the terms beyond it."""
-    w = abs(complex(z) + terms)
+    w = abs(_trigamma_domain(z) + _count("terms", terms, 100))
     return 2.0 / (6.0 * w ** 3)
 
 
-def _sinc_zeros(alpha: float, u_min: float) -> np.ndarray:
+def _sinc_zeros(alpha: float, u_min: float) -> tuple[np.ndarray, int]:
+    """The edges of the first _EXPLICIT_LOBES + _ACCEL_LOBES sinc lobes on
+    [u_min, U_TRUNCATION] (u_min, the zeros pi k / alpha strictly between,
+    then U_TRUNCATION), and the number of lobes on the whole range, about
+    13.2 alpha.  Only the edges that the oracle reads are built."""
     k_first = int(math.floor(u_min * alpha / math.pi)) + 1
     k_last = int(math.ceil(U_TRUNCATION * alpha / math.pi)) - 1
-    zeros = np.pi * np.arange(k_first, k_last + 1) / alpha
-    zeros = zeros[(zeros > u_min) & (zeros < U_TRUNCATION)]
-    return np.concatenate(([u_min], zeros, [U_TRUNCATION]))
+    # a rounded quotient may put the first or the last zero on or past its bound
+    if k_first <= k_last and math.pi * k_first / alpha <= u_min:
+        k_first += 1
+    if k_first <= k_last and math.pi * k_last / alpha >= U_TRUNCATION:
+        k_last -= 1
+    n_lobes = k_last - k_first + 2
+    whole = n_lobes <= _EXPLICIT_LOBES + _ACCEL_LOBES
+    read = n_lobes - 1 if whole else _EXPLICIT_LOBES + _ACCEL_LOBES
+    # k in floats: exact below 2^53, and no int64 overflow above
+    zeros = np.pi * (float(k_first) + np.arange(read, dtype=float)) / alpha
+    return np.concatenate(([u_min], zeros, [U_TRUNCATION] if whole else [])), n_lobes
 
 
 def _accelerated_tail(lobe_values: np.ndarray) -> tuple[float, float]:
@@ -111,8 +122,7 @@ def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> t
     def f(u):
         return bose_spectral_kernel(u) * sinc(alpha * u)
 
-    points = _sinc_zeros(alpha, u_min)
-    n_lobes = len(points) - 1
+    points, n_lobes = _sinc_zeros(alpha, u_min)
     if n_lobes <= _EXPLICIT_LOBES + _ACCEL_LOBES:
         return integrate_adaptive(f, points, quad)
 
@@ -130,17 +140,7 @@ def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> t
 
 def _seed_points(u_min: float, alpha: float) -> list[float]:
     # the kernel's breakpoints plus the sinc zeros in range, for 0 < alpha <= 1
-    return sorted(set(bose_seed_points(u_min)) | set(_sinc_zeros(alpha, u_min).tolist()))
-
-
-def _check_geometry(geom: SuperpositionGeometry,
-                    spectrum: Optional[EmissionSpectrum]) -> EmissionSpectrum:
-    if spectrum is None:
-        return EmissionSpectrum(r_s=geom.r_s)
-    if abs(spectrum.r_s - geom.r_s) > 1e-12 * geom.r_s:
-        raise ValueError(
-            f"geometry r_s={geom.r_s!r} and spectrum r_s={spectrum.r_s!r} disagree")
-    return spectrum
+    return sorted(set(bose_seed_points(u_min)) | set(_sinc_zeros(alpha, u_min)[0].tolist()))
 
 
 def _denominator(u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
@@ -149,12 +149,12 @@ def _denominator(u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
 
 def overlap_numeric_detail(
     geom: SuperpositionGeometry,
-    spectrum: Optional[EmissionSpectrum] = None,
+    omega_min: float = 0.0,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
-    """(overlap, error estimate) by quadrature."""
-    spectrum = _check_geometry(geom, spectrum)
-    u_min = spectrum.u_min
+    """(overlap, error estimate) by quadrature, for the spectrum of the
+    hole of radius geom.r_s cut off below omega_min."""
+    u_min = EmissionSpectrum(r_s=geom.r_s, omega_min=omega_min).u_min
     denom, denom_err = _denominator(u_min, quad)
     alpha = geom.y
     if alpha == 0.0:
@@ -172,21 +172,22 @@ def overlap_numeric_detail(
 
 def overlap_numeric(
     geom: SuperpositionGeometry,
-    spectrum: Optional[EmissionSpectrum] = None,
+    omega_min: float = 0.0,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Sinc-weighted spectral average of the emission spectrum: the
     emitted-photon overlap, computed without the closed form."""
-    return overlap_numeric_detail(geom, spectrum, quad)[0]
+    return overlap_numeric_detail(geom, omega_min, quad)[0]
 
 
 def rate_numeric_detail(
     geom: SuperpositionGeometry,
-    spectrum: Optional[EmissionSpectrum] = None,
+    omega_min: float = 0.0,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
-    """(rate, error estimate) in s^-1 by quadrature."""
-    spectrum = _check_geometry(geom, spectrum)
+    """(rate, error estimate) in s^-1 by quadrature, for the spectrum of
+    the hole of radius geom.r_s cut off below omega_min."""
+    spectrum = EmissionSpectrum(r_s=geom.r_s, omega_min=omega_min)
     u_min = spectrum.u_min
     bose_seed_points(u_min)  # rejects a cut-off beyond the spectrum on every branch
     alpha = geom.y
@@ -208,9 +209,9 @@ def rate_numeric_detail(
 
 def rate_numeric(
     geom: SuperpositionGeometry,
-    spectrum: Optional[EmissionSpectrum] = None,
+    omega_min: float = 0.0,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Vacuum decoherence rate by quadrature: per-u emission coefficient
     times the integral of the spectrum weighted by 1 - sinc."""
-    return rate_numeric_detail(geom, spectrum, quad)[0]
+    return rate_numeric_detail(geom, omega_min, quad)[0]

@@ -22,13 +22,12 @@ functions in the integrands round differently at different SIMD levels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackhole import _positive
+from .blackhole import _count, _positive
 
 # Kronrod-15 abscissae (positive half) and weights, with the embedded
 # Gauss-7 weights on the shared nodes.  Standard published values.
@@ -65,8 +64,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         _positive("rel_tol", self.rel_tol)
         _positive("abs_tol", self.abs_tol)
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
+        _count("max_subdivisions", self.max_subdivisions)
 
 
 class QuadratureAccuracyError(ArithmeticError):

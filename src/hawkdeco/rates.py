@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import (CODATA2018, PhysicalConstants, _in_range, _non_negative, _positive,
-                        schwarzschild_radius)
+from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_negative,
+                        _positive, schwarzschild_radius)
 from .special import BERNOULLI_2K, zeta_int
 from .spectrum import EmissionSpectrum, closed_form_emission_rate, total_emission_rate
 
@@ -321,8 +321,7 @@ def thermal_sphere_rate(
     expansion underlying the dx^2 law stops being controlled.
     """
     _non_negative("delta_x", delta_x)
-    if species_multiplicity < 1:
-        raise ValueError(f"species_multiplicity must be >= 1, got {species_multiplicity}")
+    _count("species_multiplicity", species_multiplicity)
     wavelength = constants.hbar * constants.c / (constants.k_B * params.temperature)
     if delta_x >= wavelength:
         warnings.warn(
@@ -353,8 +352,7 @@ def thermal_bh_rate(
     Specializes the sphere formula with a^2 = 27 R_s^2 and T = T_H; all
     powers of hbar cancel, leaving d (dx/R_s)^2 (c/R_s).
     """
-    if species_multiplicity < 1:
-        raise ValueError(f"species_multiplicity must be >= 1, got {species_multiplicity}")
+    _count("species_multiplicity", species_multiplicity)
     x = geom.dx_over_rs
     return _in_range("thermal_bh_rate", lambda: (
         species_multiplicity * thermal_coefficient() * x * x * constants.c / geom.r_s),

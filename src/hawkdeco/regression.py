@@ -31,7 +31,6 @@ from .blackhole import CODATA2018
 from .quadrature import QuadratureSpec
 from .rates import SuperpositionGeometry, ThermalBathParams, thermal_sphere_rate
 from .numeric import overlap_numeric, rate_numeric, trigamma_series
-from .spectrum import EmissionSpectrum
 from .verification import HEADLINE
 
 DEFAULT_RESOURCE = "regression_constants.txt"
@@ -151,11 +150,9 @@ def generate_records() -> list[RegressionRecord]:
     ))
 
     # Same separation with a hard infrared cutoff at u_min = 2.
-    spec_cut = EmissionSpectrum(
-        r_s=1.0, omega_min=2.0 * CODATA2018.c / (4.0 * math.pi))
     out.append(RegressionRecord(
         name="overlap_alpha_1_umin_2",
-        value=overlap_numeric(geom_alpha1, spec_cut, quad=_REF_QUAD),
+        value=overlap_numeric(geom_alpha1, 2.0 * CODATA2018.c / (4.0 * math.pi), quad=_REF_QUAD),
         rel_tol=1e-10,
         generator="overlap_numeric",
         params=f"alpha=1.0 u_min=2.0 {quad_params}",

@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .blackhole import _count
+
 # Exact table for the small odd/even integers the closed forms consume.
 # Values carry full double precision; anything else falls back to the
 # series path below.
@@ -62,11 +64,8 @@ def zeta_series(n: int, terms: int = 50) -> float:
     terms is N^(1-n)/(n-1) + N^-n/2 + n N^-(n+1)/12 - ..., leaving a
     truncation error below 1e-13 already at N = 50 for n >= 2.
     """
-    if n < 2:
-        raise ValueError(f"zeta series requires n >= 2, got {n}")
-    if terms < 10:
-        raise ValueError(f"terms must be at least 10, got {terms}")
-    nf = float(n)
+    nf = float(_count("n", n, 2))
+    terms = _count("terms", terms, 10)
     total = 0.0
     for k in range(terms, 0, -1):  # small terms first
         total += k ** -nf
@@ -81,14 +80,11 @@ def zeta_series(n: int, terms: int = 50) -> float:
 
 def zeta_int(n: int) -> float:
     """Riemann zeta at an integer argument n >= 2."""
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"zeta_int expects an integer, got {type(n).__name__}")
-    if n < 2:
-        raise ValueError(f"zeta_int requires n >= 2, got {n}")
-    hit = _ZETA_TABLE.get(int(n))
+    n = _count("n", n, 2)
+    hit = _ZETA_TABLE.get(n)
     if hit is not None:
         return hit
-    return zeta_series(int(n))
+    return zeta_series(n)
 
 
 def _trigamma_domain(z: complex) -> complex:

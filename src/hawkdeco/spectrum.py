@@ -4,19 +4,18 @@ The differential emission rate per unit angular frequency is
 
     Lambda(omega) = (27 R_s^2 omega^2 / (pi c^2)) / (e^u - 1),   u = 4 pi omega R_s / c
 
-for two polarizations; in the dimensionless variable u this collapses to
-(27/(16 pi^3)) u^2/(e^u - 1) independent of R_s.  Integrated over all
-frequencies,
+for the two photon polarizations; in the dimensionless variable u this
+collapses to (27/(16 pi^3)) u^2/(e^u - 1) independent of R_s.  Integrated
+over all frequencies,
 
     Lambda_total = 27 zeta(3) c / (32 pi^4 R_s)  ~=  1.0412e-2 c/R_s,
 
 using int_0^inf u^2/(e^u - 1) du = 2 zeta(3).  A low-frequency cutoff
 omega_min has no closed form and is handled by quadrature.
 
-The ``polarizations`` knob rescales the two-polarization normalization
-(factor p/2) and ``species_multiplicity`` multiplies the whole rate for
-additional massless emission channels; neither affects the normalized
-frequency distribution.
+``species_multiplicity`` N, an integer >= 1, is the one rate multiplier:
+it multiplies the whole rate for N - 1 additional massless emission
+channels and leaves the normalized frequency distribution unchanged.
 
 ``per_u_rate`` (rate per unit u-integral) and ``bose_seed_points`` (the
 kernel's knees and the cut-off limit) serve the oracle and the checks too.
@@ -29,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import CODATA2018, PhysicalConstants, _in_range, _non_negative, _positive
+from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_negative,
+                        _positive)
 from .special import zeta_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -44,17 +44,13 @@ class EmissionSpectrum:
     """Emission spectrum parameters for a hole of horizon radius r_s."""
 
     r_s: float
-    polarizations: int = 2
     species_multiplicity: int = 1
     omega_min: float = 0.0
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
         _positive("r_s", self.r_s)
-        if self.polarizations < 1:
-            raise ValueError(f"polarizations must be >= 1, got {self.polarizations}")
-        if self.species_multiplicity < 1:
-            raise ValueError(f"species_multiplicity must be >= 1, got {self.species_multiplicity}")
+        _count("species_multiplicity", self.species_multiplicity)
         _non_negative("omega_min", self.omega_min)
 
     @property
@@ -62,14 +58,11 @@ class EmissionSpectrum:
         """Cutoff in the dimensionless frequency u = 4 pi omega R_s / c."""
         return 4.0 * math.pi * self.omega_min * self.r_s / self.constants.c
 
-    def prefactor(self) -> float:
-        """Polarization and species multiplier (p/2) * N relative to photons."""
-        return 0.5 * self.polarizations * self.species_multiplicity
-
     def per_u_rate(self) -> float:
-        """prefactor * 27 c / (64 pi^4 R_s) in s^-1: the rate per unit of
-        the integral of u^2/(e^u - 1) du (2 zeta(3) over all u)."""
-        return self.prefactor() * 27.0 * self.constants.c / (64.0 * math.pi ** 4 * self.r_s)
+        """N * 27 c / (64 pi^4 R_s) in s^-1: the rate per unit of the
+        integral of u^2/(e^u - 1) du (2 zeta(3) over all u)."""
+        return self.species_multiplicity * 27.0 * self.constants.c / (
+            64.0 * math.pi ** 4 * self.r_s)
 
 
 def bose_spectral_kernel(u):
@@ -105,7 +98,7 @@ def rate_density(spectrum: EmissionSpectrum, omega: float) -> float:
     if omega == 0.0 or omega < spectrum.omega_min:
         return 0.0
     u = 4.0 * math.pi * omega * spectrum.r_s / spectrum.constants.c
-    return spectrum.prefactor() * 27.0 / (16.0 * math.pi ** 3) * bose_spectral_kernel(u)
+    return spectrum.species_multiplicity * 27.0 / (16.0 * math.pi ** 3) * bose_spectral_kernel(u)
 
 
 def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -127,22 +120,22 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
 
 
 def closed_form_emission_rate(r_s, spectrum: EmissionSpectrum):
-    """Lambda_total = prefactor * 27 zeta(3) c / (32 pi^4 r_s) of an uncut
-    spectrum, at the horizon radius r_s instead of spectrum.r_s.  r_s may be
-    a float or a numpy array; the bits are the same either way."""
+    """Lambda_total = N * 27 zeta(3) c / (32 pi^4 r_s) of an uncut spectrum,
+    at the horizon radius r_s instead of spectrum.r_s.  r_s may be a float
+    or a numpy array; the bits are the same either way."""
     # Dividing the constant by 32 is exact, and keeps the quotient by
-    # pi^4 r_s at Lambda_total / prefactor instead of 32 times that, so it
-    # does not overflow before the rate does.  Folding 32 pi^4 r_s into one
-    # product would instead overflow for r_s above ~5.8e304.
-    return spectrum.prefactor() * (27.0 * spectrum.constants.c * zeta_int(3) / 32.0
-                                   / (math.pi ** 4 * r_s))
+    # pi^4 r_s at Lambda_total / N instead of 32 times that, so it does not
+    # overflow before the rate does.  Folding 32 pi^4 r_s into one product
+    # would instead overflow for r_s above ~5.8e304.
+    return spectrum.species_multiplicity * (27.0 * spectrum.constants.c * zeta_int(3) / 32.0
+                                            / (math.pi ** 4 * r_s))
 
 
 def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:
     """Normalized emitted-frequency density Lambda(omega) / Lambda_total.
 
-    Independent of polarizations and species multiplicity; the
-    dimensionless shape peaks at u ~= 1.5936.
+    Independent of the species multiplicity; the dimensionless shape
+    peaks at u ~= 1.5936.
     """
     return rate_density(spectrum, omega) / total_emission_rate(spectrum)
 

@@ -255,9 +255,8 @@ def check_limits() -> list[CheckResult]:
 
 def check_evolution() -> list[CheckResult]:
     mass = HEADLINE["earth"][0]
-    geom = SuperpositionGeometry.from_mass(mass, 0.01)
-    tau = 1.0 / vacuum_rate(geom).rate
-    end, end_fine = (evolve_coherence(geom, mass, tau, steps).coherence[-1] for steps in (64, 128))
+    tau = 1.0 / vacuum_rate(SuperpositionGeometry.from_mass(mass, 0.01)).rate
+    end, end_fine = (evolve_coherence(mass, 0.01, tau, steps).coherence[-1] for steps in (64, 128))
     return [_check("evolution_exponential", "constant-rate coherence at tau vs 1/e, relative",
                    _rel(end, math.exp(-1.0)), 1e-6),
             _check("evolution_grid_doubling", "coherence at tau, 128 vs 64 steps, relative",

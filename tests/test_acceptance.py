@@ -200,8 +200,8 @@ def test_criterion_11_special_functions():
 def test_criterion_12_evolution():
     geom = SuperpositionGeometry.from_mass(M_MOON, 0.01)
     tau = 1.0 / vacuum_rate(geom).rate
-    base = evolve_coherence(geom, M_MOON, t_max=tau, steps=128)
-    doubled = evolve_coherence(geom, M_MOON, t_max=tau, steps=256)
+    base = evolve_coherence(M_MOON, 0.01, t_max=tau, steps=128)
+    doubled = evolve_coherence(M_MOON, 0.01, t_max=tau, steps=256)
     e_dev = abs(base.coherence[-1] - math.exp(-1.0))
     refine = abs(doubled.coherence[-1] - base.coherence[-1]) / doubled.coherence[-1]
     ok = e_dev <= 1e-6 and refine <= 1e-8

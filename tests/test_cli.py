@@ -113,6 +113,9 @@ def test_rate_geometry_flags(capsys):
     (("info", "--mass", "nan"), "--mass"),
     (("sweep", "--mass", "1", "--dx-over-rs", "1", "10", "inf"), "--dx-over-rs POINTS"),
     (("sweep", "--mass", "1", "--dx-over-rs", "1", "10", "nan"), "--dx-over-rs POINTS"),
+    (("rate", "--mass", "1e30", "--dx", "1", "--species", "0"), "--species"),
+    (("info", "--mass", "1e30", "--species", "-2"), "--species"),
+    (("evolve", "--mass", "1e30", "--dx", "1", "--t-max", "1", "--steps", "1"), "--steps"),
 ])
 def test_non_finite_inputs_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, *argv)

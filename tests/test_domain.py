@@ -1,5 +1,6 @@
-"""Input domain of the library: non-finite arguments and results that leave
-the range of a double are ValueErrors naming the argument."""
+"""Input domain of the library: non-finite arguments, counts that are not
+integers of at least their minimum, and results that leave the range of a
+double are ValueErrors naming the argument."""
 
 import dataclasses
 import math
@@ -11,7 +12,9 @@ import pytest
 from hawkdeco import (CODATA2018, EmissionSpectrum, QuadratureSpec, SuperpositionGeometry,
                       ThermalBathParams, evolve_coherence, mass_at_time, planck_localization_time,
                       rate_density, thermal_bh_rate, thermal_sphere_rate, total_emission_rate,
-                      trigamma_complex, trigamma_series, vacuum_rate_small_dx)
+                      trigamma_complex, trigamma_series, trigamma_series_error_bound,
+                      vacuum_rate_small_dx, zeta_int)
+from hawkdeco.special import zeta_series
 
 M_EARTH = 5.97e24
 BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
@@ -25,8 +28,7 @@ BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
                  id="bath-temperature-nan"),
     pytest.param(lambda: thermal_sphere_rate(BATH, math.nan), "delta_x",
                  id="thermal_sphere_rate-delta_x-nan"),
-    pytest.param(lambda: evolve_coherence(SuperpositionGeometry.from_mass(M_EARTH, 0.01),
-                                          M_EARTH, math.inf, 4), "t_max",
+    pytest.param(lambda: evolve_coherence(M_EARTH, 0.01, math.inf, 4), "t_max",
                  id="evolve_coherence-t_max-inf"),
     pytest.param(lambda: rate_density(EmissionSpectrum(r_s=1.0), math.nan), "omega",
                  id="rate_density-omega-nan"),
@@ -41,10 +43,50 @@ BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
     pytest.param(lambda: trigamma_series(-math.inf), "z", id="trigamma_series-z--inf"),
     pytest.param(lambda: trigamma_series(math.inf), "z", id="trigamma_series-z-inf"),
     pytest.param(lambda: trigamma_series(math.nan), "z", id="trigamma_series-z-nan"),
+    pytest.param(lambda: trigamma_series_error_bound(math.nan), "z",
+                 id="trigamma_series_error_bound-z-nan"),
+    pytest.param(lambda: trigamma_series_error_bound(complex(1.0, math.inf)), "z",
+                 id="trigamma_series_error_bound-z-inf"),
 ])
 def test_non_finite_input_names_the_argument(call, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite"):
         call()
+
+
+# Every count argument: the call with that argument set to n, its name and its least value.
+COUNTS = [
+    pytest.param(lambda n: EmissionSpectrum(r_s=1.0, species_multiplicity=n),
+                 "species_multiplicity", 1, id="EmissionSpectrum-species_multiplicity"),
+    pytest.param(lambda n: thermal_sphere_rate(BATH, 1e-8, species_multiplicity=n),
+                 "species_multiplicity", 1, id="thermal_sphere_rate-species_multiplicity"),
+    pytest.param(lambda n: thermal_bh_rate(SuperpositionGeometry(1.0, 1.0),
+                                           species_multiplicity=n),
+                 "species_multiplicity", 1, id="thermal_bh_rate-species_multiplicity"),
+    pytest.param(lambda n: evolve_coherence(1e9, 1e-20, 1.0, 4, evaporate=True,
+                                            species_multiplicity=n),
+                 "species_multiplicity", 1, id="evolve_coherence-species_multiplicity"),
+    pytest.param(lambda n: QuadratureSpec(max_subdivisions=n), "max_subdivisions", 1,
+                 id="QuadratureSpec-max_subdivisions"),
+    pytest.param(lambda n: evolve_coherence(M_EARTH, 0.01, 1.0, n), "steps", 2,
+                 id="evolve_coherence-steps"),
+    pytest.param(lambda n: trigamma_series(1.0, terms=n), "terms", 100,
+                 id="trigamma_series-terms"),
+    pytest.param(lambda n: trigamma_series_error_bound(1.0, terms=n), "terms", 100,
+                 id="trigamma_series_error_bound-terms"),
+    pytest.param(lambda n: zeta_series(n), "n", 2, id="zeta_series-n"),
+    pytest.param(lambda n: zeta_series(3, terms=n), "terms", 10, id="zeta_series-terms"),
+    pytest.param(lambda n: zeta_int(n), "n", 2, id="zeta_int-n"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, "below_least"])
+@pytest.mark.parametrize("call, name, least", COUNTS)
+def test_counts_are_integers_at_least_their_minimum(call, name, least, value):
+    if value == "below_least":
+        value = least - 1
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got "):
+        call(value)
+    call(least)  # the minimum itself is accepted
 
 
 @pytest.mark.parametrize("call, named", [

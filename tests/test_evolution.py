@@ -22,16 +22,15 @@ M_MOON = 7.35e22
 M_SMALL = 1e9
 
 
-def small_hole_geom(dx_over_rs: float = 2.7327e-17) -> SuperpositionGeometry:
-    r_s = schwarzschild_radius(M_SMALL)
-    return SuperpositionGeometry(delta_x=dx_over_rs * r_s, r_s=r_s)
+def small_hole_dx(dx_over_rs: float = 2.7327e-17) -> float:
+    return dx_over_rs * schwarzschild_radius(M_SMALL)
 
 
 def test_constant_mass_matches_exponential_exactly():
     geom = SuperpositionGeometry.from_mass(M_MOON, 0.01)
     rate = vacuum_rate(geom).rate
     tau = 1.0 / rate
-    trace = evolve_coherence(geom, M_MOON, t_max=3.0 * tau, steps=64)
+    trace = evolve_coherence(M_MOON, 0.01, t_max=3.0 * tau, steps=64)
     expected = np.exp(-rate * trace.times)
     assert np.allclose(trace.coherence, expected, rtol=1e-13, atol=0.0)
     assert trace.coherence[0] == 1.0
@@ -41,7 +40,7 @@ def test_constant_mass_matches_exponential_exactly():
 def test_coherence_at_tau_is_inverse_e():
     geom = SuperpositionGeometry.from_mass(M_MOON, 0.01)
     tau = 1.0 / vacuum_rate(geom).rate
-    trace = evolve_coherence(geom, M_MOON, t_max=tau, steps=100)
+    trace = evolve_coherence(M_MOON, 0.01, t_max=tau, steps=100)
     assert trace.coherence[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
 
@@ -49,27 +48,27 @@ def test_log_coherence_linear_in_rate():
     # doubling the emission channels doubles the exponent everywhere
     geom = SuperpositionGeometry.from_mass(M_MOON, 0.01)
     tau = 1.0 / vacuum_rate(geom).rate
-    one = evolve_coherence(geom, M_MOON, t_max=2.0 * tau, steps=32)
-    two = evolve_coherence(geom, M_MOON, t_max=2.0 * tau, steps=32,
+    one = evolve_coherence(M_MOON, 0.01, t_max=2.0 * tau, steps=32)
+    two = evolve_coherence(M_MOON, 0.01, t_max=2.0 * tau, steps=32,
                            species_multiplicity=2)
     assert np.allclose(np.log(two.coherence[1:]), 2.0 * np.log(one.coherence[1:]),
                        rtol=1e-12)
 
 
 def test_grid_doubling_convergence_evaporating():
-    geom = small_hole_geom()
+    dx = small_hole_dx()
     t_max = 0.5 * evaporation_time(M_SMALL)
-    coarse = evolve_coherence(geom, M_SMALL, t_max, steps=128, evaporate=True)
-    fine = evolve_coherence(geom, M_SMALL, t_max, steps=256, evaporate=True)
+    coarse = evolve_coherence(M_SMALL, dx, t_max, steps=128, evaporate=True)
+    fine = evolve_coherence(M_SMALL, dx, t_max, steps=256, evaporate=True)
     drift = abs(fine.coherence[-1] - coarse.coherence[-1]) / fine.coherence[-1]
     assert drift < 1e-8
 
 
 def test_evaporation_accelerates_decoherence():
-    geom = small_hole_geom()
+    dx = small_hole_dx()
     t_max = 0.9 * evaporation_time(M_SMALL)
-    frozen = evolve_coherence(geom, M_SMALL, t_max, steps=200, evaporate=False)
-    shrinking = evolve_coherence(geom, M_SMALL, t_max, steps=200, evaporate=True)
+    frozen = evolve_coherence(M_SMALL, dx, t_max, steps=200, evaporate=False)
+    shrinking = evolve_coherence(M_SMALL, dx, t_max, steps=200, evaporate=True)
     assert np.all(shrinking.coherence[1:] <= frozen.coherence[1:])
     assert shrinking.coherence[-1] < frozen.coherence[-1]
     assert np.all(np.diff(shrinking.mass) < 0.0)
@@ -90,15 +89,15 @@ def test_evaporating_rates_match_scalar_vacuum_rate(dx_over_rs, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(evolution, "canonical_rate_array", spy)
-    geom = small_hole_geom(dx_over_rs)
+    dx = small_hole_dx(dx_over_rs)
     t_bh = evaporation_time(M_SMALL)
-    trace = evolve_coherence(geom, M_SMALL, 0.999 * t_bh, steps=101, evaporate=True,
+    trace = evolve_coherence(M_SMALL, dx, 0.999 * t_bh, steps=101, evaporate=True,
                              species_multiplicity=2)
     # numpy's ** and libm pow may differ in the last bit of the cube root
     expected_mass = np.array([mass_at_time(M_SMALL, float(t)) for t in trace.times])
     assert np.all(np.abs(trace.mass - expected_mass) <= 2.0 * np.spacing(expected_mass))
     expected = np.array([
-        vacuum_rate(SuperpositionGeometry(geom.delta_x, schwarzschild_radius(float(m))),
+        vacuum_rate(SuperpositionGeometry(dx, schwarzschild_radius(float(m))),
                     species_multiplicity=2).rate
         for m in trace.mass])
     assert len(seen) == 1
@@ -108,8 +107,7 @@ def test_evaporating_rates_match_scalar_vacuum_rate(dx_over_rs, monkeypatch):
 
 
 def test_trace_invariants():
-    geom = small_hole_geom()
-    trace = evolve_coherence(geom, M_SMALL, 0.5 * evaporation_time(M_SMALL),
+    trace = evolve_coherence(M_SMALL, small_hole_dx(), 0.5 * evaporation_time(M_SMALL),
                              steps=77, evaporate=True)  # odd interval count
     assert trace.times[0] == 0.0
     assert len(trace.times) == len(trace.coherence) == len(trace.mass) == 78
@@ -120,29 +118,25 @@ def test_trace_invariants():
 
 def test_quasi_static_flag():
     # decoherence far faster than evaporation: flag set
-    geom = SuperpositionGeometry.from_mass(M_MOON, 0.01)
-    trace = evolve_coherence(geom, M_MOON, 1e-10, steps=4)
+    trace = evolve_coherence(M_MOON, 0.01, 1e-10, steps=4)
     assert trace.quasi_static_valid
     # decoherence slower than the hole's own lifetime: flag cleared
-    slow = small_hole_geom(dx_over_rs=1e-22)
-    trace = evolve_coherence(slow, M_SMALL, 1e-3, steps=4)
+    trace = evolve_coherence(M_SMALL, small_hole_dx(dx_over_rs=1e-22), 1e-3, steps=4)
     assert not trace.quasi_static_valid
 
 
 def test_validation_errors():
-    geom = SuperpositionGeometry.from_mass(M_MOON, 0.01)
     with pytest.raises(ValueError):
-        evolve_coherence(geom, M_MOON, t_max=1.0, steps=1)
+        evolve_coherence(M_MOON, 0.01, t_max=1.0, steps=1)
     with pytest.raises(ValueError):
-        evolve_coherence(geom, M_MOON, t_max=0.0, steps=8)
+        evolve_coherence(M_MOON, 0.01, t_max=0.0, steps=8)
+    with pytest.raises(ValueError, match="^delta_x"):
+        evolve_coherence(M_MOON, -0.01, t_max=1.0, steps=8)
     with pytest.raises(ValueError):
-        evolve_coherence(geom, 2.0 * M_MOON, t_max=1.0, steps=8)  # wrong mass
-    small = small_hole_geom()
-    with pytest.raises(ValueError):
-        evolve_coherence(small, M_SMALL, t_max=evaporation_time(M_SMALL),
+        evolve_coherence(M_SMALL, small_hole_dx(), t_max=evaporation_time(M_SMALL),
                          steps=8, evaporate=True)
     # dx/R_s is finite at t = 0 but overflows as the hole shrinks
-    wide = small_hole_geom(dx_over_rs=1e305)
     with pytest.raises(ValueError, match="delta_x / r_s"):
-        evolve_coherence(wide, M_SMALL, t_max=(1.0 - 1e-12) * evaporation_time(M_SMALL),
+        evolve_coherence(M_SMALL, small_hole_dx(dx_over_rs=1e305),
+                         t_max=(1.0 - 1e-12) * evaporation_time(M_SMALL),
                          steps=8, evaporate=True)

@@ -1,11 +1,13 @@
 """Quadrature route vs closed forms, and the direct trigamma series."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hawkdeco import (
+    CODATA2018,
     EmissionSpectrum,
     QuadratureSpec,
     SuperpositionGeometry,
@@ -125,37 +127,37 @@ def test_error_estimates_are_honest():
         assert abs(r_loose - r_tight) <= max(re_loose, 1e-14 * abs(r_tight))
 
 
+def omega_at_u(u: float, r_s: float = 1.0) -> float:
+    # the angular frequency at u = 4 pi omega r_s / c
+    return u * CODATA2018.c / (4.0 * math.pi * r_s)
+
+
 def test_cutoff_overlap_differs():
     geom = geom_at(4.0 * math.pi)
-    c = EmissionSpectrum(r_s=1.0).constants.c
     # u_min = 2: the soft part of the spectrum is gone and the overlap drops
-    spec = EmissionSpectrum(r_s=1.0, omega_min=2.0 * c / (4.0 * math.pi))
-    assert spec.u_min == pytest.approx(2.0, rel=1e-12)
+    assert EmissionSpectrum(r_s=1.0, omega_min=omega_at_u(2.0)).u_min == pytest.approx(
+        2.0, rel=1e-12)
     without = overlap_numeric(geom)
-    with_cut = overlap_numeric(geom, spectrum=spec)
+    with_cut = overlap_numeric(geom, omega_min=omega_at_u(2.0))
     assert with_cut != pytest.approx(without, rel=1e-3)
 
 
-def test_spectrum_geometry_consistency_check():
-    geom = geom_at(1.0, r_s=2.0)
-    with pytest.raises(ValueError):
-        overlap_numeric(geom, spectrum=EmissionSpectrum(r_s=1.0))
+def test_cutoff_is_taken_at_the_geometry_radius():
+    # the same u_min on holes of different size gives the same overlap
+    small = overlap_numeric(geom_at(4.0 * math.pi), omega_at_u(2.0))
+    large = overlap_numeric(geom_at(4.0 * math.pi, r_s=1e3), omega_at_u(2.0, r_s=1e3))
+    assert small == pytest.approx(large, rel=1e-10)
 
 
 def test_cutoff_beyond_truncation_rejected():
-    geom = geom_at(1.0)
-    c = EmissionSpectrum(r_s=1.0).constants.c
-    spec = EmissionSpectrum(r_s=1.0, omega_min=41.0 * c / (4.0 * math.pi))
     with pytest.raises(ValueError):
-        overlap_numeric(geom, spectrum=spec)
+        overlap_numeric(geom_at(1.0), omega_at_u(41.0))
 
 
 def test_cutoff_rejected_on_every_rate_branch():
-    c = EmissionSpectrum(r_s=1.0).constants.c
-    spec = EmissionSpectrum(r_s=1.0, omega_min=41.0 * c / (4.0 * math.pi))
     for dx_over_rs in (0.0, 1.0, 100.0):  # alpha = 0, < 1 and > 1
         with pytest.raises(ValueError, match="cutoff"):
-            rate_numeric(geom_at(dx_over_rs), spectrum=spec)
+            rate_numeric(geom_at(dx_over_rs), omega_at_u(41.0))
 
 
 def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
@@ -192,3 +194,42 @@ def test_seed_points_match_loop_reference(u_min):
     alphas = list(np.linspace(0.0, 1.0, 401)[1:]) + [1e-3, math.pi / 4.0, math.pi / 10.0]
     for alpha in alphas:
         assert numeric._seed_points(u_min, alpha) == _seed_points_loop(u_min, alpha)
+
+
+def _sinc_zeros_full(alpha, u_min):
+    # The oracle's former construction: every zero in range, kept as a reference.
+    k_first = int(math.floor(u_min * alpha / math.pi)) + 1
+    k_last = int(math.ceil(U_TRUNCATION * alpha / math.pi)) - 1
+    zeros = np.pi * np.arange(k_first, k_last + 1) / alpha
+    zeros = zeros[(zeros > u_min) & (zeros < U_TRUNCATION)]
+    return np.concatenate(([u_min], zeros, [U_TRUNCATION]))
+
+
+@pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 10.0, 30.0])
+def test_sinc_zeros_are_the_head_of_the_full_grid(u_min):
+    # alphas around the switch to acceleration (2112 lobes at alpha ~ 160),
+    # and alphas that put a zero exactly on the cut-off or the truncation
+    alphas = [1e-3, 0.5, 1.0, math.pi / 4.0, 2.0, 100.0, 159.5, 159.9, 160.0, 160.3,
+              161.0, 1e3, 1e4, 2.0 * math.pi / U_TRUNCATION * 7.0]
+    if u_min > 0.0:
+        alphas += [math.pi * k / u_min for k in (1, 3, 40, 5000)]
+    for alpha in alphas:
+        full = _sinc_zeros_full(alpha, u_min)
+        head, n_lobes = numeric._sinc_zeros(alpha, u_min)
+        assert n_lobes == len(full) - 1
+        assert head.tobytes() == full[:len(head)].tobytes()
+        assert len(head) == min(len(full), numeric._EXPLICIT_LOBES + numeric._ACCEL_LOBES + 1)
+
+
+def test_wide_separation_oracle_memory():
+    # dx/R_s = 1e7 spans ~1e7 sinc lobes, of which the oracle reads 2113;
+    # building every lobe edge peaked at ~180 MB under tracemalloc
+    geom = geom_at(1e7)
+    tracemalloc.start()
+    try:
+        value = rate_numeric(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert value == pytest.approx(vacuum_rate(geom).rate, rel=1e-8)

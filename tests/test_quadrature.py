@@ -72,7 +72,7 @@ REFERENCE_CASES = {
     "bose_u2": (bose_spectral_kernel, bose_seed_points(2.0)),
     "bose_sinc_0.215": (bose_sinc(0.215), _seed_points(0.0, 0.215)),
     # the oracle's explicit head of 2048 sinc lobes
-    "bose_sinc_250": (bose_sinc(250.0), _sinc_zeros(250.0, 0.0)[:2049]),
+    "bose_sinc_250": (bose_sinc(250.0), _sinc_zeros(250.0, 0.0)[0][:2049]),
 }
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -324,8 +325,8 @@ def test_shared_coefficients_keep_their_bits():
     # the bits the separate copies gave
     assert thermal_coefficient().hex() == "0x1.d7c0026fd71e7p-5"
     assert EmissionSpectrum(r_s=1.0).per_u_rate().hex() == "0x1.3cfd585d2acd2p+20"
-    assert EmissionSpectrum(r_s=1.0916e-4, polarizations=3, species_multiplicity=5
-                            ).per_u_rate().hex() == "0x1.4c532b83335b7p+36"
+    assert EmissionSpectrum(r_s=1.0916e-4, species_multiplicity=15
+                            ).per_u_rate().hex() == "0x1.4c532b83335b7p+37"
 
 
 def test_thermal_bh_time_at_one_radius():
@@ -451,3 +452,23 @@ def test_localization_matches_small_dx_rate():
         planck_localization_time(mass, mode="vacuum"), rel=1e-10)
     assert 1.0 / thermal_bh_rate(geom) == pytest.approx(
         planck_localization_time(mass, mode="thermal"), rel=1e-10)
+
+
+def test_overlap_and_complement_against_mpmath():
+    # 50-digit reference -Im psi1(1 + iy) / (2 zeta(3) y) at the y the
+    # geometry actually holds, on 161 log-spaced y in [1e-8, 1e8]; the
+    # worst errors sit near y = 3.2 (overlap, 1.7e-15) and just above the
+    # complement-series switch at y = 0.05 (complement, 1.5e-13)
+    worst_overlap = worst_complement = 0.0
+    with mpmath.workdps(50):
+        two_zeta3 = 2 * mpmath.zeta(3)
+        for y_target in np.logspace(-8.0, 8.0, 161):
+            geom = SuperpositionGeometry(4.0 * math.pi * float(y_target), 1.0)
+            y = mpmath.mpf(geom.y)
+            exact = -mpmath.im(mpmath.psi(1, mpmath.mpc(1, y))) / (two_zeta3 * y)
+            worst_overlap = max(worst_overlap,
+                                float(abs(vacuum_overlap(geom) - exact) / exact))
+            worst_complement = max(worst_complement,
+                                   float(abs(one_minus_overlap(geom) - (1 - exact)) / (1 - exact)))
+    assert worst_overlap <= 3e-15
+    assert worst_complement <= 2.5e-13

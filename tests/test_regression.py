@@ -5,7 +5,7 @@ import math
 import pytest
 
 from hawkdeco import (
-    EmissionSpectrum,
+    CODATA2018,
     SuperpositionGeometry,
     ThermalBathParams,
     overlap_numeric,
@@ -154,6 +154,5 @@ def test_bose_mode_record_is_stationary():
 def test_cutoff_overlap_record():
     rec = load_default_records()["overlap_alpha_1_umin_2"]
     geom = SuperpositionGeometry(delta_x=4.0 * math.pi, r_s=1.0)
-    c = EmissionSpectrum(r_s=1.0).constants.c
-    spec = EmissionSpectrum(r_s=1.0, omega_min=2.0 * c / (4.0 * math.pi))
-    assert overlap_numeric(geom, spectrum=spec) == pytest.approx(rec.value, rel=rec.rel_tol)
+    omega_min = 2.0 * CODATA2018.c / (4.0 * math.pi)
+    assert overlap_numeric(geom, omega_min) == pytest.approx(rec.value, rel=rec.rel_tol)

@@ -42,7 +42,7 @@ def test_zeta_domain_errors():
         zeta_int(1)
     with pytest.raises(ValueError):
         zeta_series(0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^n must be an integer"):
         zeta_int(3.0)
     with pytest.raises(ValueError):
         zeta_series(5, terms=3)

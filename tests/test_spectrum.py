@@ -49,10 +49,8 @@ def test_rate_density_collapse_across_radii():
 def test_rate_density_scaling_knobs():
     spec1 = EmissionSpectrum(r_s=1.0)
     spec2 = EmissionSpectrum(r_s=1.0, species_multiplicity=2)
-    half = EmissionSpectrum(r_s=1.0, polarizations=1)
     omega = u_to_omega(spec1, 2.0)
     assert rate_density(spec2, omega) == pytest.approx(2.0 * rate_density(spec1, omega), rel=1e-15)
-    assert rate_density(half, omega) == pytest.approx(0.5 * rate_density(spec1, omega), rel=1e-15)
 
 
 def test_rate_density_below_cutoff():
@@ -129,7 +127,7 @@ def test_frequency_pdf_normalization():
 
 def test_frequency_pdf_knob_independence():
     base = EmissionSpectrum(r_s=1.0)
-    scaled = EmissionSpectrum(r_s=1.0, polarizations=1, species_multiplicity=5)
+    scaled = EmissionSpectrum(r_s=1.0, species_multiplicity=5)
     for u in (0.5, 1.5936, 4.0):
         omega = u_to_omega(base, u)
         assert frequency_pdf(scaled, omega) == pytest.approx(
@@ -164,8 +162,6 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         EmissionSpectrum(r_s=0.0)
     with pytest.raises(ValueError):
-        EmissionSpectrum(r_s=1.0, polarizations=0)
-    with pytest.raises(ValueError):
         EmissionSpectrum(r_s=1.0, species_multiplicity=0)
     with pytest.raises(ValueError):
         EmissionSpectrum(r_s=1.0, omega_min=-1.0)
@@ -173,7 +169,7 @@ def test_spectrum_validation():
 
 def test_per_u_rate_times_full_integral_is_lambda_total():
     for r_s in (1e-6, R_S_MOON, 1e6):
-        spec = EmissionSpectrum(r_s=r_s, polarizations=4, species_multiplicity=3)
+        spec = EmissionSpectrum(r_s=r_s, species_multiplicity=3)
         assert spec.per_u_rate() * 2.0 * ZETA3 == pytest.approx(
             total_emission_rate(spec), rel=1e-14)
 
