@@ -10,6 +10,8 @@ found a failing check, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -31,37 +33,28 @@ _PRINTED_NOTICE = (
 )
 
 
-def _fmt(x) -> str:
-    # one output cell: nine significant digits (or "inf") for a float, "" for None
-    if isinstance(x, float):
-        return f"{x:.8e}"
-    return "" if x is None else str(x)
-
-
 def _json_value(x):
     # round-trip through the 9-digit display so JSON and CSV encode the
     # same numbers
     if isinstance(x, float):
         if math.isinf(x):
             return "inf"
-        return float(_fmt(x))
+        return float(f"{x:.8e}")
     return x
 
 
 def _write(args, output) -> None:
-    """Write a JSON payload (dict) or CSV lines (list) to --out or stdout."""
+    """Write a JSON payload (dict) or text (str) to --out or stdout."""
     if isinstance(output, dict):
-        text = json.dumps(output, indent=2, allow_nan=False) + "\n"
-    else:
-        text = "\n".join(output) + "\n"
+        output = json.dumps(output, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(output)
 
 
-def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
+def _emit(args, header: list[str], rows: list, meta: dict) -> None:
     meta = {**meta, "constants": "CODATA2018"}
     if args.format == "json":
         _write(args, {
@@ -69,14 +62,13 @@ def _emit(args, header: list[str], rows: list[list], meta: dict) -> None:
             "rows": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows],
         })
     else:
-        # plain loops: on CPython 3.11 map() or a comprehension per row is slower
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for v in row:
-                cells.append(_fmt(v))
-            lines.append(",".join(cells))
-        _write(args, lines)
+        # One %-format for the whole table, applied once: nine significant
+        # digits (or "inf") for a float, "" for None ("%.0s"), str() otherwise.
+        # Each column holds one type, so the first row sets the line format.
+        line = ",".join("%.8e" if isinstance(v, float) else "%.0s" if v is None else "%s"
+                        for v in rows[0])
+        cells = tuple(itertools.chain.from_iterable(rows))
+        _write(args, ",".join(header) + "\n" + (line + "\n") * len(rows) % cells)
 
 
 def _resolve_geometry(args) -> SuperpositionGeometry:
@@ -160,10 +152,10 @@ def cmd_sweep(args) -> int:
 
     header = ["dx_over_rs", "rate_c_over_rs", "rate_si", "overlap", "regime"]
     rows = []
-    for x in grid:
-        geom = SuperpositionGeometry(delta_x=float(x) * r_s, r_s=r_s)
+    for x in grid.tolist():
+        geom = SuperpositionGeometry(delta_x=x * r_s, r_s=r_s)
         rate, _, overlap, regime, _ = _rate_row(geom, args.mode, variant, args.species)
-        rows.append([float(x), rate * r_s / CODATA2018.c, rate, overlap, regime])
+        rows.append([x, rate * r_s / CODATA2018.c, rate, overlap, regime])
     _emit(args, header, rows,
           meta={"command": "sweep", "mass_kg": args.mass, "mode": args.mode,
                 "variant": variant if args.mode == "vacuum" else None,
@@ -180,8 +172,7 @@ def cmd_evolve(args) -> int:
                              species_multiplicity=args.species)
     res = vacuum_rate(geom, species_multiplicity=args.species)
     header = ["t", "coherence", "mass"]
-    rows = [[float(t), float(c), float(m)]
-            for t, c, m in zip(trace.times, trace.coherence, trace.mass)]
+    rows = list(zip(trace.times.tolist(), trace.coherence.tolist(), trace.mass.tolist()))
     meta = {"command": "evolve", "mass_kg": args.mass, "delta_x_m": geom.delta_x,
             "t_max_s": args.t_max, "steps": args.steps,
             "evaporate": bool(args.evaporate),
@@ -191,7 +182,7 @@ def cmd_evolve(args) -> int:
     _emit(args, header, rows, meta)
     if args.format == "csv":
         # keep stdout as pure CSV; the summary goes to stderr
-        print(f"tau_d_s={_fmt(res.decoherence_time)} "
+        print(f"tau_d_s={res.decoherence_time:.8e} "
               f"quasi_static_valid={str(trace.quasi_static_valid).lower()}",
               file=sys.stderr)
     return 0
@@ -211,11 +202,12 @@ def cmd_verify(args) -> int:
     else:
         warned = sum(1 for r in results if r.status == "WARN")
         passed = len(results) - failed - warned
-        _write(args, [f"{r.status} {r.name}: {r.detail}" for r in results]
-               + [f"{passed} passed, {warned} warned, {failed} failed"])
+        _write(args, "".join(f"{r.status} {r.name}: {r.detail}\n" for r in results)
+               + f"{passed} passed, {warned} warned, {failed} failed\n")
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hawkdeco",

@@ -83,8 +83,13 @@ def _sinc_zeros(alpha: float, u_min: float) -> tuple[np.ndarray, int]:
     [u_min, U_TRUNCATION] (u_min, the zeros pi k / alpha strictly between,
     then U_TRUNCATION), and the number of lobes on the whole range, about
     13.2 alpha.  Only the edges that the oracle reads are built."""
-    k_first = int(math.floor(u_min * alpha / math.pi)) + 1
-    k_last = int(math.ceil(U_TRUNCATION * alpha / math.pi)) - 1
+    k_top = U_TRUNCATION * alpha / math.pi
+    k_first = int(math.floor(u_min * alpha / math.pi)) + 1 if k_top < math.inf else 2 ** 53
+    # past k = 2^53 (or an infinite last zero) adjacent edges are no longer distinct doubles
+    if k_first + _EXPLICIT_LOBES + _ACCEL_LOBES >= 2 ** 53:
+        raise ValueError(f"delta_x / r_s={4.0 * math.pi * alpha:g} puts the sinc zeros above "
+                         f"u={u_min:g} closer together than adjacent doubles")
+    k_last = int(math.ceil(k_top)) - 1
     # a rounded quotient may put the first or the last zero on or past its bound
     if k_first <= k_last and math.pi * k_first / alpha <= u_min:
         k_first += 1

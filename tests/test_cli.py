@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import hawkdeco
 from hawkdeco import QuadratureAccuracyError, cli, special
 from hawkdeco.verification import FAIL, PASS, WARN
 
@@ -357,3 +361,91 @@ def test_verify_detects_constant_perturbation(capsys, monkeypatch):
         statuses[rest.split(":")[0]] = status
     assert statuses["emission_saturation"] == FAIL
     assert statuses["trigamma_anchor"] == PASS
+
+
+def _fmt(x) -> str:
+    # one output cell: nine significant digits (or "inf") for a float, "" for None
+    if isinstance(x, float):
+        return f"{x:.8e}"
+    return "" if x is None else str(x)
+
+
+def reference_emit(args, header, rows, meta):
+    """Reference writer: the per-cell loop the table-at-a-time writer replaced.
+    Writes to stdout only."""
+    meta = {**meta, "constants": "CODATA2018"}
+
+    def json_value(x):
+        if isinstance(x, float):
+            return "inf" if math.isinf(x) else float(_fmt(x))
+        return x
+
+    if args.format == "json":
+        sys.stdout.write(json.dumps({
+            "meta": {k: json_value(v) for k, v in meta.items()},
+            "rows": [{k: json_value(v) for k, v in zip(header, row)} for row in rows],
+        }, indent=2, allow_nan=False) + "\n")
+    else:
+        lines = [",".join(header)]
+        for row in rows:
+            cells = []
+            for v in row:
+                cells.append(_fmt(v))
+            lines.append(",".join(cells))
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("info", "--mass", "1.99e30", "--species", "3"),
+    ("rate", "--mass", "7.35e22", "--dx", "0.01"),
+    ("rate", "--mass", "7.35e22", "--dx-over-rs", "1", "--mode", "thermal"),
+    ("rate", "--mass", "7.35e22", "--dx", "0.01", "--variant", "printed_eq8"),
+    ("rate", "--mass", "7.35e22", "--dx", "0"),                     # tau = inf
+    ("sweep", "--mass", "7.35e22", "--dx-over-rs", "1e-3", "1e4", "41"),
+    ("sweep", "--mass", "1e30", "--dx-over-rs", "0", "2", "5", "--spacing", "linear"),
+    ("sweep", "--mass", "7.35e22", "--dx-over-rs", "1e-3", "1e4", "9", "--mode", "thermal"),
+    ("sweep", "--mass", "1e30", "--dx-over-rs", "0", "2", "5", "--spacing", "linear",
+     "--mode", "thermal"),
+    ("evolve", "--mass", "7.35e22", "--dx", "0.01", "--t-max", "1.7e-10", "--steps", "16"),
+    ("evolve", "--mass", "1e10", "--dx-over-rs", "10", "--t-max", "1e10", "--steps", "64",
+     "--evaporate"),
+])
+def test_table_writer_matches_the_per_cell_reference(capsys, monkeypatch, argv, fmt):
+    argv = argv + ("--format", fmt)
+    expected = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", reference_emit)
+        reference = run(capsys, *argv)
+    assert expected[0] == 0
+    assert expected == reference
+
+
+def _fresh(argv):
+    # start the same call in a new interpreter, stdout and stderr piped
+    src = os.path.dirname(os.path.dirname(hawkdeco.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen([sys.executable, "-m", "hawkdeco.cli", *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    rate = ("rate", "--mass", "7.35e22", "--dx", "0.01")
+    sweep = ("sweep", "--mass", "1e25", "--dx-over-rs", "1", "10", "3")
+    to_file = sweep + ("--out", str(tmp_path / "in_process.csv"))
+    sequence = [rate + ("--variant", "printed_eq8"), rate, to_file, sweep,
+                rate + ("--mode", "thermal"), rate, rate + ("--variant", "bogus"), rate]
+    # one new interpreter per distinct call, all started before any is read
+    procs = {argv: _fresh(argv) for argv in dict.fromkeys(sequence) if argv is not to_file}
+    procs[to_file] = _fresh(sweep + ("--out", str(tmp_path / "fresh.csv")))
+    fresh = {argv: (*proc.communicate(timeout=60), proc.returncode)
+             for argv, proc in procs.items()}
+    for argv in sequence:
+        try:
+            got = run(capsys, *argv)
+        except SystemExit as exc:
+            got = (exc.code, *capsys.readouterr())
+        out, err, code = fresh[argv]
+        assert got == (code, out, err), argv
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()

@@ -233,3 +233,21 @@ def test_wide_separation_oracle_memory():
         tracemalloc.stop()
     assert peak < 8e6
     assert value == pytest.approx(vacuum_rate(geom).rate, rel=1e-8)
+
+
+@pytest.mark.parametrize("dx_over_rs, u_min", [
+    (1e40, 0.3), (1e100, 0.3), (1e300, 0.3),   # the lobe edges read pass k = 2^53
+    (1e308, 0.0), (1e308, 0.3),                # U_TRUNCATION alpha / pi overflows
+])
+def test_separations_past_distinct_sinc_zeros_name_the_argument(dx_over_rs, u_min):
+    for oracle in (rate_numeric, overlap_numeric):
+        with pytest.raises(ValueError, match=r"^delta_x / r_s=1e\+[0-9]+ puts the sinc zeros"):
+            oracle(geom_at(dx_over_rs), omega_at_u(u_min))
+
+
+@pytest.mark.parametrize("dx_over_rs, overlap", [
+    (1e40, 6.568477332581941e-79), (1e100, 6.568477332605802e-199), (1e300, 0.0)])
+def test_huge_separations_without_cutoff_keep_their_values(dx_over_rs, overlap):
+    # u_min = 0: the first lobe edges read are pi k / alpha with k <= 2113
+    assert rate_numeric(geom_at(dx_over_rs)) == pytest.approx(3121476.17761359, rel=1e-14)
+    assert overlap_numeric(geom_at(dx_over_rs)) == pytest.approx(overlap, rel=1e-12, abs=0.0)
