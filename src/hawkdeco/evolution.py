@@ -46,7 +46,8 @@ def _cumulative_parabolic(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     For each point triple the interpolating parabola contributes
     h(5 f0 + 8 f1 - f2)/12 and h(-f0 + 8 f1 + 5 f2)/12 to its two
     subintervals; adjacent pairs sum to the Simpson weights.  A trailing
-    odd interval reuses the parabola through the last three points.
+    odd interval reuses the parabola through the last three points.  A
+    steep rise (f2 > 5 f0 + 8 f1) makes a weight negative: a ValueError.
     """
     n = len(times) - 1
     h = times[1] - times[0]
@@ -59,6 +60,8 @@ def _cumulative_parabolic(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     if n % 2 == 1:
         a, b, c = values[n - 2], values[n - 1], values[n]
         inc[n - 1] = h * (-a + 8.0 * b + 5.0 * c) / 12.0
+    if np.any(inc < 0.0):
+        raise ValueError(f"steps={n} cannot resolve the rate's growth; raise steps")
     out = np.empty(n + 1)
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])

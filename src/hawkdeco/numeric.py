@@ -13,7 +13,8 @@ The overlap integrand in u = 4 pi omega R_s / c is
     (u^2 / (e^u - 1)) sinc(alpha u),   alpha = dx / (4 pi R_s),
 
 integrated over [u_min, 41.5] and divided by the same integral without
-the sinc.  For alpha > 1 the integrand oscillates faster than blind
+the sinc (spectrum.bose_integral, cached, so most calls integrate only
+the numerator).  For alpha > 1 the integrand oscillates faster than blind
 interval refinement resolves economically, so the domain is split at the
 sinc zeros k pi / alpha; the per-lobe integrals alternate in sign, and
 once the lobe count is large the remaining series is summed by repeated
@@ -35,7 +36,8 @@ from .blackhole import _count
 from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive
 from .rates import SuperpositionGeometry
 from .special import _trigamma_domain, one_minus_sinc, sinc
-from .spectrum import EmissionSpectrum, U_TRUNCATION, bose_seed_points, bose_spectral_kernel
+from .spectrum import (EmissionSpectrum, U_TRUNCATION, bose_integral, bose_seed_points,
+                       bose_spectral_kernel)
 
 # Past this many sinc lobes the remaining alternating series is
 # accelerated instead of integrated lobe by lobe.
@@ -148,10 +150,6 @@ def _seed_points(u_min: float, alpha: float) -> list[float]:
     return sorted(set(bose_seed_points(u_min)) | set(_sinc_zeros(alpha, u_min)[0].tolist()))
 
 
-def _denominator(u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
-    return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)
-
-
 def overlap_numeric_detail(
     geom: SuperpositionGeometry,
     omega_min: float = 0.0,
@@ -160,7 +158,7 @@ def overlap_numeric_detail(
     """(overlap, error estimate) by quadrature, for the spectrum of the
     hole of radius geom.r_s cut off below omega_min."""
     u_min = EmissionSpectrum(r_s=geom.r_s, omega_min=omega_min).u_min
-    denom, denom_err = _denominator(u_min, quad)
+    denom, denom_err = bose_integral(u_min, quad)
     alpha = geom.y
     if alpha == 0.0:
         return 1.0, 0.0
@@ -204,7 +202,7 @@ def rate_numeric_detail(
             lambda u: bose_spectral_kernel(u) * one_minus_sinc(alpha * u),
             _seed_points(u_min, alpha), quad)
     else:
-        denom, denom_err = _denominator(u_min, quad)
+        denom, denom_err = bose_integral(u_min, quad)
         num, num_err = _oscillatory_integral(alpha, u_min, quad)
         comp = denom - num
         comp_err = num_err + denom_err

@@ -23,6 +23,7 @@ evaluation (check ``trigamma_shift_threshold``).
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -132,13 +133,16 @@ def sinc(x):
     numpy arrays and mirrors the input kind.
     """
     arr = np.asarray(x, dtype=float)
-    small = np.abs(arr) < _SINC_SERIES_CUT
-    safe = np.where(small, 1.0, arr)
-    x2 = arr * arr
-    out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    flat = arr.ravel()  # contiguous: a strided loop may round sin differently
+    small = np.abs(flat) < _SINC_SERIES_CUT
+    rare = small.any()
+    with np.errstate(invalid="ignore") if rare else contextlib.nullcontext():  # 0/0 at x = 0
+        out = np.sin(flat)
+        out /= flat
+    if rare:
+        x2 = flat[small] ** 2
+        out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def one_minus_sinc(x):

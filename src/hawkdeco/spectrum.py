@@ -19,10 +19,15 @@ channels and leaves the normalized frequency distribution unchanged.
 
 ``per_u_rate`` (rate per unit u-integral) and ``bose_seed_points`` (the
 kernel's knees and the cut-off limit) serve the oracle and the checks too.
+``bose_integral`` is the one quadrature of the cut spectrum, cached per
+cut-off and spec: the cut total rate, the oracle's denominator and the
+saturation check all read it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,19 +77,18 @@ def bose_spectral_kernel(u):
     is e^u to machine precision and the e^-u form avoids overflow.
     """
     arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    out = np.zeros_like(flat)
-    pos = flat > 0.0
-    up = flat[pos]
-    res = np.empty_like(up)
-    small = up <= 37.0
-    res[small] = up[small] ** 2 / np.expm1(up[small])
-    res[~small] = up[~small] ** 2 * np.exp(-up[~small])
-    out[pos] = res
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    flat = arr.ravel()  # contiguous: a strided loop may round expm1 differently
+    big, off = flat > 37.0, ~(flat > 0.0)  # off: u <= 0 and NaN, which give 0
+    rare = big.any() or off.any()
+    # u^2/expm1(u) on every element first: on the rare ones it may overflow
+    # (u past ~709.8) or divide 0 by 0, and they are overwritten after
+    with np.errstate(over="ignore", invalid="ignore") if rare else contextlib.nullcontext():
+        out = flat * flat
+        out /= np.expm1(flat)
+    if rare:
+        out[big] = flat[big] ** 2 * np.exp(-flat[big])
+        out[off] = 0.0
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def rate_density(spectrum: EmissionSpectrum, omega: float) -> float:
@@ -112,9 +116,7 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
     def rate():
         if spectrum.omega_min == 0.0:
             return closed_form_emission_rate(spectrum.r_s, spectrum)
-        integral, _ = integrate_adaptive(
-            bose_spectral_kernel, bose_seed_points(spectrum.u_min), quad)
-        return spectrum.per_u_rate() * integral
+        return spectrum.per_u_rate() * bose_integral(spectrum.u_min, quad)[0]
 
     return _in_range("Lambda_total", rate, "r_s={!r} m", spectrum.r_s)
 
@@ -149,3 +151,11 @@ def bose_seed_points(u_min: float) -> list[float]:
         raise ValueError(
             f"omega_min puts the cutoff at u={u_min:.3g}, beyond the resolvable spectrum")
     return [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [U_TRUNCATION]
+
+
+@functools.lru_cache(maxsize=16)
+def bose_integral(u_min: float, quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+    """(value, error estimate) of the integral of bose_spectral_kernel over
+    [u_min, U_TRUNCATION] on bose_seed_points(u_min); memoised, as the oracle
+    needs it at one cut-off and spec on most calls."""
+    return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)

@@ -21,13 +21,12 @@ import numpy as np
 from . import numeric, special
 from .blackhole import CODATA2018, hawking_temperature, schwarzschild_radius
 from .evolution import evolve_coherence
-from .quadrature import QuadratureSpec, integrate_adaptive
+from .quadrature import QuadratureSpec
 from .rates import (SuperpositionGeometry, ThermalBathParams, VARIANT_CANONICAL, VARIANT_PRINTED,
                     _trigamma_im_over_y, thermal_bh_rate, thermal_coefficient,
                     thermal_localization_coeff, thermal_sphere_rate, vacuum_localization_coeff,
                     vacuum_overlap, vacuum_rate)
-from .spectrum import (EmissionSpectrum, bose_seed_points, bose_spectral_kernel,
-                       total_emission_rate)
+from .spectrum import EmissionSpectrum, bose_integral, total_emission_rate
 
 PASS = "PASS"
 WARN = "WARN"
@@ -143,8 +142,7 @@ def check_zeta_table() -> CheckResult:
 def check_emission_saturation() -> CheckResult:
     # closed-form Lambda_total against raw quadrature of the spectrum, horizon
     # radii spanning twelve decades; the u-integral is the same for every r_s
-    integral, _ = integrate_adaptive(bose_spectral_kernel, bose_seed_points(0.0),
-                                     QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16))
+    integral, _ = bose_integral(0.0, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16))
     spectra = [EmissionSpectrum(r_s=r_s) for r_s in (1e-6, 1.0, 1e6)]
     worst = _worst(_rel(total_emission_rate(s), s.per_u_rate() * integral) for s in spectra)
     return _check("emission_saturation",

@@ -272,6 +272,15 @@ def test_evolve_evaporation_domain_error(capsys):
     assert "evaporation" in err
 
 
+def test_evolve_too_coarse_evaporating_grid(capsys):
+    # the first parabola weight turns negative; this printed coherence "inf"
+    code, out, err = run(capsys, "evolve", "--mass", "1", "--dx-over-rs", "1e-3",
+                         "--t-max", "8e-17", "--steps", "2", "--evaporate", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: steps=2 ") and err.count("\n") == 1
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     args = ("sweep", "--mass", "1e25", "--dx-over-rs", "1", "10", "3")

@@ -140,3 +140,14 @@ def test_validation_errors():
         evolve_coherence(M_SMALL, small_hole_dx(dx_over_rs=1e305),
                          t_max=(1.0 - 1e-12) * evaporation_time(M_SMALL),
                          steps=8, evaporate=True)
+
+
+def test_too_coarse_evaporating_grid_names_steps():
+    # over 0.95 of a 1 kg hole's lifetime at dx/R_s = 1e-3 the rate rises so
+    # steeply that the first parabola weight goes negative: the exponent
+    # would fall below zero and the coherence exceed 1
+    dx = 1e-3 * schwarzschild_radius(1.0)
+    with pytest.raises(ValueError, match=r"^steps=2 cannot resolve"):
+        evolve_coherence(1.0, dx, 8e-17, steps=2, evaporate=True)
+    trace = evolve_coherence(1.0, dx, 8e-17, steps=4, evaporate=True)
+    assert np.all(np.diff(trace.coherence) <= 0.0) and trace.coherence[-1] < 1.0

@@ -1,0 +1,145 @@
+"""The oracle's kernels and its blocked GK15 evaluation against their
+one-shot forms: the same bits, and bounded memory per integrand call."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hawkdeco import SuperpositionGeometry, overlap_numeric, rate_numeric
+from hawkdeco import numeric, quadrature
+from hawkdeco.quadrature import _NODES, _WG, _WGK, gk15_batch
+from hawkdeco.special import sinc
+from hawkdeco.spectrum import bose_spectral_kernel
+
+
+def one_shot_gk15_batch(f, a, b):
+    """Reference: every interval's 15 nodes in one integrand call, one
+    matrix-vector product per rule (the form before blocked evaluation)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = center[:, None] + half[:, None] * _NODES[None, :]
+    y = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("integrand returned a non-finite value")
+    vk = half * (y @ _WGK)
+    vg = half * (y @ _WG)
+    return vk, np.abs(vk - vg)
+
+
+def where_sinc(x):
+    """Reference: both branches on every element, joined by np.where."""
+    arr = np.asarray(x, dtype=float)
+    small = np.abs(arr) < 1e-4
+    safe = np.where(small, 1.0, arr)
+    x2 = arr * arr
+    out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def indexed_bose_kernel(u):
+    """Reference: each branch on a fancy-indexed copy of its elements."""
+    arr = np.asarray(u, dtype=float)
+    scalar = arr.ndim == 0
+    flat = np.atleast_1d(arr)
+    out = np.zeros_like(flat)
+    pos = flat > 0.0
+    up = flat[pos]
+    res = np.empty_like(up)
+    small = up <= 37.0
+    res[small] = up[small] ** 2 / np.expm1(up[small])
+    res[~small] = up[~small] ** 2 * np.exp(-up[~small])
+    out[pos] = res
+    if scalar:
+        return float(out[0])
+    return out.reshape(arr.shape)
+
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+EDGES = np.array([0.0, -0.0, 1e-5, -1e-5, *_around(1e-4), *_around(-1e-4), *_around(37.0),
+                  41.5, 700.0, 1000.0, -0.5, -37.0, -1e3, 5e-324, 1e-300, math.pi, np.nan])
+# oracle-like node sets: the GK15 nodes of the first 2500 lobes of bose * sinc(300 u)
+LOBES = np.pi * np.arange(2501) / 300.0
+NODES = (0.5 * (LOBES[:-1] + LOBES[1:])[:, None]
+         + 0.5 * (LOBES[1:] - LOBES[:-1])[:, None] * _NODES).ravel()
+
+
+def _same_bits(new, ref):
+    assert type(new) is type(ref)
+    assert np.shape(new) == np.shape(ref)
+    assert np.asarray(new).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("kernel, reference, arguments", [
+    (sinc, where_sinc, [EDGES, 300.0 * NODES, EDGES * 1e-4]),
+    (bose_spectral_kernel, indexed_bose_kernel, [EDGES, NODES, 41.5 - NODES]),
+])
+def test_kernel_bits_match_the_reference(kernel, reference, arguments):
+    for arr in arguments:
+        _same_bits(kernel(arr), reference(arr))
+        _same_bits(kernel(arr.reshape(1, -1, 1)), reference(arr.reshape(1, -1, 1)))
+        _same_bits(kernel(arr[::-3]), reference(arr[::-3]))  # a strided view
+        for x in arr[::97].tolist() + EDGES.tolist():
+            _same_bits(kernel(x), reference(x))
+            _same_bits(kernel(np.array(x)), reference(np.array(x)))
+    _same_bits(kernel(np.empty((0, 3))), reference(np.empty((0, 3))))
+
+
+def test_kernels_at_zero_and_past_overflow_are_quiet():
+    # the common branch divides 0 by 0 at zero and overflows past u ~ 709.8;
+    # warnings are errors in this suite
+    assert sinc(0.0) == 1.0
+    assert bose_spectral_kernel(0.0) == 0.0
+    assert bose_spectral_kernel(np.array([0.0, 1000.0, -1.0])).tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(sinc(np.nan)) and bose_spectral_kernel(np.nan) == 0.0
+
+
+def test_gk15_batch_bits_match_one_shot_over_ragged_blocks():
+    # 2500 intervals: two full blocks of 1024 and a ragged one of 452
+    assert len(LOBES) - 1 == 2500 > 2 * quadrature._BLOCK
+
+    def f(u):
+        return bose_spectral_kernel(u) * sinc(300.0 * u)
+
+    for a, b in ((LOBES[:-1], LOBES[1:]), (LOBES[:-1], LOBES[:-1] + 1e-3)):
+        new, ref = gk15_batch(f, a, b), one_shot_gk15_batch(f, a, b)
+        for got, want in zip(new, ref):
+            _same_bits(got, want)
+
+
+def test_integrand_never_sees_more_than_one_block(monkeypatch):
+    sizes = []
+
+    def kernel(u):
+        sizes.append(u.size)
+        return bose_spectral_kernel(u)
+
+    gk15_batch(kernel, LOBES[:-1], LOBES[1:])
+    assert sizes == [15 * 1024, 15 * 1024, 15 * 452]
+    # the oracle at dx/R_s = 1e4 seeds 2113 lobes, one batch at the parent commit
+    monkeypatch.setattr(numeric, "bose_spectral_kernel", kernel)
+    sizes.clear()
+    geom = SuperpositionGeometry(1e4, 1.0)
+    rate_numeric(geom)
+    overlap_numeric(geom)
+    assert sizes and max(sizes) <= 15 * 1024
+
+
+@pytest.mark.parametrize("oracle", [rate_numeric, overlap_numeric])
+def test_oracle_peak_memory_at_large_separation(oracle):
+    geom = SuperpositionGeometry(1e4, 1.0)
+    tracemalloc.start()
+    try:
+        oracle(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

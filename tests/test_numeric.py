@@ -166,7 +166,7 @@ def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
     def fail(*args):
         raise AssertionError("denominator integrated on the alpha < 1 branch")
 
-    monkeypatch.setattr(numeric, "_denominator", fail)
+    monkeypatch.setattr(numeric, "bose_integral", fail)
     assert rate_numeric(geom_at(1.0)) == value
     with pytest.raises(AssertionError):
         rate_numeric(geom_at(100.0))

@@ -7,7 +7,7 @@ import pytest
 
 from hawkdeco import EmissionSpectrum, QuadratureSpec, frequency_pdf, rate_density, total_emission_rate
 from hawkdeco.quadrature import integrate_adaptive
-from hawkdeco.spectrum import U_TRUNCATION, bose_seed_points, bose_spectral_kernel
+from hawkdeco.spectrum import U_TRUNCATION, bose_integral, bose_seed_points, bose_spectral_kernel
 
 ZETA3 = 1.2020569031595942854
 R_S_MOON = 1.0916e-4  # horizon radius of a 7.35e22 kg hole, metres
@@ -197,3 +197,30 @@ def test_bose_seed_points():
     assert bose_seed_points(30.0) == [30.0, U_TRUNCATION]
     with pytest.raises(ValueError, match="cutoff"):
         bose_seed_points(U_TRUNCATION - 1.0)
+
+
+def test_bose_integral_is_the_direct_quadrature():
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+    for u_min in (0.0, 0.3, 2.0, 10.0):
+        for quad in (QuadratureSpec(), tight):
+            direct = integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)
+            assert bose_integral(u_min, quad) == direct
+    assert bose_integral(0.0) == bose_integral(0.0, QuadratureSpec())
+    with pytest.raises(ValueError, match="beyond the resolvable spectrum"):
+        bose_integral(U_TRUNCATION)
+
+
+def test_bose_integral_cache_entries_and_bound():
+    bose_integral.cache_clear()
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+    keys = [(0.0, QuadratureSpec()), (0.3, QuadratureSpec()), (0.0, tight)]
+    values = [bose_integral(*key) for key in keys]
+    info = bose_integral.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert [bose_integral(*key) for key in keys] == values
+    assert bose_integral.cache_info().hits == 3
+    maxsize = bose_integral.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+    for u_min in np.linspace(0.0, 30.0, 3 * maxsize).tolist():
+        bose_integral(u_min)
+    assert bose_integral.cache_info().currsize == maxsize
