@@ -21,26 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants bundle.  Frozen so result objects can share it safely."""
-
-    G: float        # m^3 kg^-1 s^-2
-    c: float        # m s^-1
-    hbar: float     # J s
-    k_B: float      # J K^-1
-
-
-# CODATA 2018 recommended values.
-CODATA2018 = PhysicalConstants(
-    G=6.67430e-11,
-    c=2.99792458e8,
-    hbar=1.054571817e-34,
-    k_B=1.380649e-23,
-)
+from dataclasses import dataclass, fields
 
 
 def _positive(name: str, value: float) -> float:
@@ -81,6 +62,30 @@ def _in_range(what: str, compute, culprit: str, *args: float,
         raise ValueError(
             f"{culprit.format(*args)} puts {what}={value!r} out of floating-point range")
     return value
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """SI constants bundle, each finite and positive.  Frozen so result
+    objects can share it safely."""
+
+    G: float        # m^3 kg^-1 s^-2
+    c: float        # m s^-1
+    hbar: float     # J s
+    k_B: float      # J K^-1
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            _positive(field.name, getattr(self, field.name))
+
+
+# CODATA 2018 recommended values.
+CODATA2018 = PhysicalConstants(
+    G=6.67430e-11,
+    c=2.99792458e8,
+    hbar=1.054571817e-34,
+    k_B=1.380649e-23,
+)
 
 
 def schwarzschild_radius(mass: float, constants: PhysicalConstants = CODATA2018) -> float:

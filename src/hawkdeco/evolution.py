@@ -8,9 +8,11 @@ rho_od(t), so
 With evaporation on, Gamma(t') is evaluated at the shrinking mass
 M(t') = M0 (1 - t'/t_bh)^(1/3) while the branch separation delta_x stays
 fixed; the rate then grows monotonically as the hole shrinks, so the
-evaporating trace always lies at or below the constant-mass one.  The
-masses, radii and rates of the whole grid are evaluated as arrays in one
-pass; each rate has the bits of vacuum_rate at that radius.
+evaporating trace always lies at or below the constant-mass one.  One
+rate routine, rates.canonical_rate_array, serves both modes in one call:
+on every radius of the grid when evaporating, on the t = 0 radius alone at
+constant mass.  Each rate has the bits of vacuum_rate at its radius, and
+the trace carries them as `rate`.
 
 The accumulated exponent is integrated on the uniform grid with local
 parabolic segments (composite Simpson when the interval count is even),
@@ -25,18 +27,20 @@ import numpy as np
 
 from .blackhole import (CODATA2018, PhysicalConstants, _count, _positive, evaporation_time,
                         schwarzschild_radius)
-from .rates import SuperpositionGeometry, canonical_rate_array, vacuum_rate
+from .rates import SuperpositionGeometry, canonical_rate_array
 
 
 @dataclass(frozen=True)
 class CoherenceTrace:
-    """Sampled coherence history.  quasi_static_valid records whether the
-    initial decoherence time is under 1% of the lifetime, the regime in
-    which treating emission as quasi-static is self-consistent."""
+    """Sampled coherence history: at each time, the coherence, the mass and
+    the decoherence rate Gamma.  quasi_static_valid records whether the
+    initial decoherence time 1/rate[0] is under 1% of the lifetime, the
+    regime in which treating emission as quasi-static is self-consistent."""
 
     times: np.ndarray
     coherence: np.ndarray
     mass: np.ndarray
+    rate: np.ndarray       # s^-1
     quasi_static_valid: bool
 
 
@@ -84,8 +88,6 @@ def evolve_coherence(
     """
     steps = _count("steps", steps, 2)
     _positive("t_max", t_max)
-    geom = SuperpositionGeometry(delta_x, schwarzschild_radius(mass0, constants))
-
     t_bh = evaporation_time(mass0, constants)
     if evaporate and t_max >= t_bh:
         raise ValueError(
@@ -97,18 +99,16 @@ def evolve_coherence(
         # blackhole.mass_at_time and schwarzschild_radius, elementwise
         masses = mass0 * (1.0 - times / t_bh) ** (1.0 / 3.0)
         r_s = 2.0 * constants.G * masses / constants.c ** 2
-        # raises unless the geometry is valid at the smallest radius, where dx/R_s peaks
-        SuperpositionGeometry(delta_x, float(r_s.min()))
-        rates = canonical_rate_array(delta_x, r_s, constants, species_multiplicity)
     else:
         masses = np.full(steps + 1, mass0)
-        rates = np.full(steps + 1, vacuum_rate(
-            geom, constants=constants, species_multiplicity=species_multiplicity).rate)
+        r_s = np.array([schwarzschild_radius(mass0, constants)])
+    # raises unless the geometry is valid at the smallest radius, where dx/R_s peaks
+    SuperpositionGeometry(delta_x, float(r_s.min()))
+    rates = canonical_rate_array(delta_x, r_s, constants, species_multiplicity)
+    if not evaporate:
+        rates = np.full(steps + 1, rates[0])
 
     exponent = _cumulative_parabolic(times, rates)
-    coherence = np.exp(-exponent)
-
-    rate0 = rates[0]
-    quasi_static = bool(rate0 > 0.0 and (1.0 / rate0) < 0.01 * t_bh)
-    return CoherenceTrace(times=times, coherence=coherence, mass=masses,
+    quasi_static = bool(rates[0] > 0.0 and (1.0 / rates[0]) < 0.01 * t_bh)
+    return CoherenceTrace(times=times, coherence=np.exp(-exponent), mass=masses, rate=rates,
                           quasi_static_valid=quasi_static)

@@ -126,6 +126,7 @@ class DecoherenceResult:
 def classify_regime(dx_over_rs: float) -> str:
     """Reporting label: below one horizon radius the quadratic law holds,
     beyond a hundred the rate has saturated; in between is the crossover."""
+    _non_negative("dx_over_rs", dx_over_rs)
     if dx_over_rs < 1.0:
         return REGIME_SMALL
     if dx_over_rs > 100.0:
@@ -251,14 +252,16 @@ def canonical_rate_array(
     the overlap.  The caller validates the geometries; elements on the
     complement-series branch (y < 0.05) are evaluated one at a time.
     """
+    n = _count("species_multiplicity", species_multiplicity)
+    r_min = float(r_s.min())  # Lambda_total peaks there: range-check it once
+    _in_range("Lambda_total", lambda: closed_form_emission_rate(r_min, n, constants),
+              "r_s={!r} m", r_min)
     y = delta_x / (4.0 * math.pi * r_s)
     with np.errstate(over="ignore"):  # y * y past 1e154, where the terms are +0.0
         complement = 1.0 - _trigamma_im_over_y(y) / _TWO_ZETA3
     for i in np.flatnonzero(y < _COMPLEMENT_SERIES_CUT):
         complement[i] = _complement(float(y[i]), 1.0)  # the overlap at y = 0 is 1
-    spectrum = EmissionSpectrum(r_s=1.0, species_multiplicity=species_multiplicity,
-                                constants=constants)
-    return closed_form_emission_rate(r_s, spectrum) * complement
+    return closed_form_emission_rate(r_s, n, constants) * complement
 
 
 def vacuum_rate_small_dx(

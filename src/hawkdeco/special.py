@@ -154,11 +154,15 @@ def one_minus_sinc(x):
     the leading one at the cut).
     """
     arr = np.asarray(x, dtype=float)
-    small = np.abs(arr) < _ONE_MINUS_SINC_CUT
-    safe = np.where(small, 1.0, arr)
-    x2 = arr * arr
-    series = x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0 - x2 * x2 * x2 * x2 / 362880.0
-    out = np.where(small, series, 1.0 - np.sin(safe) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    flat = arr.ravel()  # contiguous: a strided loop may round sin differently
+    small = np.abs(flat) < _ONE_MINUS_SINC_CUT
+    rare = small.any()
+    with np.errstate(invalid="ignore") if rare else contextlib.nullcontext():  # 0/0 at x = 0
+        out = np.sin(flat)
+        out /= flat
+        np.subtract(1.0, out, out=out)
+    if rare:
+        x2 = flat[small] ** 2
+        out[small] = (x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0
+                      - x2 * x2 * x2 * x2 / 362880.0)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -74,7 +74,8 @@ def bose_spectral_kernel(u):
     """u^2 / (e^u - 1), the dimensionless spectral shape; 0 at u = 0.
 
     expm1 keeps full precision for small u; above u = 37 the denominator
-    is e^u to machine precision and the e^-u form avoids overflow.
+    is e^u to machine precision and the e^-u form avoids overflow.  Past
+    u = 746, where e^-u underflows to 0, the kernel is 0 (u = inf too).
     """
     arr = np.asarray(u, dtype=float)
     flat = arr.ravel()  # contiguous: a strided loop may round expm1 differently
@@ -86,7 +87,9 @@ def bose_spectral_kernel(u):
         out = flat * flat
         out /= np.expm1(flat)
     if rare:
-        out[big] = flat[big] ** 2 * np.exp(-flat[big])
+        tail = flat[big]
+        tail[tail > 746.0] = 0.0  # e^-u is 0 there and u^2 may overflow: give 0 * 1
+        out[big] = tail ** 2 * np.exp(-tail)
         out[off] = 0.0
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
@@ -115,22 +118,21 @@ def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = Quadr
     """
     def rate():
         if spectrum.omega_min == 0.0:
-            return closed_form_emission_rate(spectrum.r_s, spectrum)
+            return closed_form_emission_rate(spectrum.r_s, spectrum.species_multiplicity,
+                                             spectrum.constants)
         return spectrum.per_u_rate() * bose_integral(spectrum.u_min, quad)[0]
 
     return _in_range("Lambda_total", rate, "r_s={!r} m", spectrum.r_s)
 
 
-def closed_form_emission_rate(r_s, spectrum: EmissionSpectrum):
-    """Lambda_total = N * 27 zeta(3) c / (32 pi^4 r_s) of an uncut spectrum,
-    at the horizon radius r_s instead of spectrum.r_s.  r_s may be a float
-    or a numpy array; the bits are the same either way."""
+def closed_form_emission_rate(r_s, species_multiplicity: int, constants: PhysicalConstants):
+    """Lambda_total = N * 27 zeta(3) c / (32 pi^4 r_s) of an uncut spectrum, unchecked.
+    r_s may be a float or a numpy array; the bits are the same either way."""
     # Dividing the constant by 32 is exact, and keeps the quotient by
     # pi^4 r_s at Lambda_total / N instead of 32 times that, so it does not
     # overflow before the rate does.  Folding 32 pi^4 r_s into one product
     # would instead overflow for r_s above ~5.8e304.
-    return spectrum.species_multiplicity * (27.0 * spectrum.constants.c * zeta_int(3) / 32.0
-                                            / (math.pi ** 4 * r_s))
+    return species_multiplicity * (27.0 * constants.c * zeta_int(3) / 32.0 / (math.pi ** 4 * r_s))
 
 
 def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:

@@ -1,5 +1,6 @@
 """Kinematics of the hole itself: radius, temperature, lifetime, mass history."""
 
+import dataclasses
 import math
 import re
 
@@ -170,3 +171,6 @@ def test_custom_constants_flow_through():
                                 hbar=CODATA2018.hbar, k_B=CODATA2018.k_B)
     assert schwarzschild_radius(1.0, doubled) == pytest.approx(
         2.0 * schwarzschild_radius(1.0), rel=1e-15)
+    # replace() re-runs the field checks and keeps a valid bundle
+    hbar2 = dataclasses.replace(CODATA2018, hbar=2.0 * CODATA2018.hbar)
+    assert planck_length(hbar2) == pytest.approx(math.sqrt(2.0) * planck_length(), rel=1e-15)

@@ -264,6 +264,24 @@ def test_evolve_five_tau(capsys):
     assert final == pytest.approx(math.exp(-5.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("extra", [(), ("--evaporate",)])
+@pytest.mark.parametrize("dx", ["0", "0.01"])
+def test_evolve_reads_tau_from_the_trace(capsys, monkeypatch, dx, extra):
+    # tau_d = 1 / Gamma(0), from the rate evolve_coherence already evaluated
+    def no_second_rate(*args, **kwargs):
+        raise AssertionError("evolve evaluated the rate a second time")
+
+    monkeypatch.setattr(cli, "vacuum_rate", no_second_rate)
+    argv = ("evolve", "--mass", "1e12", "--dx", dx, "--t-max", "1e-3", "--steps", "8", *extra)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rate0 = hawkdeco.evolve_coherence(1e12, float(dx), 1e-3, 8, evaporate=bool(extra)).rate[0]
+    tau = json.loads(out)["meta"]["tau_d_s"]
+    assert tau == ("inf" if rate0 == 0.0 else float(f"{1.0 / rate0:.8e}"))
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err.startswith("tau_d_s=inf " if dx == "0" else f"tau_d_s={tau:.8e} ")
+
+
 def test_evolve_evaporation_domain_error(capsys):
     # one-kilogram hole evaporates in ~8.4e-17 s
     code, _, err = run(capsys, "evolve", "--mass", "1", "--dx-over-rs", "1e-3",

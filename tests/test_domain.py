@@ -10,7 +10,8 @@ import warnings
 import pytest
 
 from hawkdeco import (CODATA2018, EmissionSpectrum, QuadratureSpec, SuperpositionGeometry,
-                      ThermalBathParams, evolve_coherence, mass_at_time, planck_localization_time,
+                      ThermalBathParams, classify_regime, evolve_coherence, mass_at_time,
+                      planck_localization_time,
                       rate_density, thermal_bh_rate, thermal_sphere_rate, total_emission_rate,
                       trigamma_complex, trigamma_series, trigamma_series_error_bound,
                       vacuum_rate_small_dx, zeta_int)
@@ -47,10 +48,22 @@ BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
                  id="trigamma_series_error_bound-z-nan"),
     pytest.param(lambda: trigamma_series_error_bound(complex(1.0, math.inf)), "z",
                  id="trigamma_series_error_bound-z-inf"),
+    pytest.param(lambda: classify_regime(math.nan), "dx_over_rs", id="classify_regime-nan"),
+    pytest.param(lambda: classify_regime(-1.0), "dx_over_rs", id="classify_regime-negative"),
 ])
 def test_non_finite_input_names_the_argument(call, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite"):
         call()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["G", "c", "hbar", "k_B"])
+def test_constants_are_finite_and_positive(field, value):
+    # a negative c used to pass unseen through c**2, and a negative hbar
+    # reached math.sqrt in planck_length
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got "):
+        dataclasses.replace(CODATA2018, **{field: value})
+
 
 
 # Every count argument: the call with that argument set to n, its name and its least value.
@@ -102,6 +115,15 @@ def test_overflowing_rates_are_value_errors(call, named):
         warnings.simplefilter("ignore")  # the dipole-regime warning of the hot bath
         with pytest.raises(ValueError, match=re.escape(named)):
             call()
+
+
+@pytest.mark.parametrize("species", [10 ** 305, 10 ** 400])
+@pytest.mark.parametrize("evaporate", [False, True])
+def test_evolve_with_an_overflowing_emission_rate_names_the_radius(species, evaporate):
+    # Lambda_total is range-checked where it peaks, at the smallest radius; the
+    # evaporating path used to give NaN rates (10**305) or an OverflowError (10**400)
+    with pytest.raises(ValueError, match=r"^r_s=\S+ m puts Lambda_total=inf out of "):
+        evolve_coherence(1e20, 1.0, 1e-3, 4, evaporate=evaporate, species_multiplicity=species)
 
 
 def test_rates_may_underflow_to_zero():

@@ -75,35 +75,63 @@ def test_evaporation_accelerates_decoherence():
     assert shrinking.mass[0] == M_SMALL
 
 
-@pytest.mark.parametrize("dx_over_rs", [2.7327e-17, 0.3, 30.0])
-def test_evaporating_rates_match_scalar_vacuum_rate(dx_over_rs, monkeypatch):
-    # the grid is evaluated as arrays; every rate must carry the bits of
-    # vacuum_rate at the same radius (dx_over_rs = 0.3 crosses y = 0.05
-    # as the hole shrinks, so both complement branches occur).  The rates
-    # are read where evolve_coherence computes them, because coherence
-    # underflows to 0 long before the mass changes at the larger separations.
-    real, seen = evolution.canonical_rate_array, []
+def _spy_on_the_rate(monkeypatch):
+    """Every radius array evolve_coherence hands to canonical_rate_array."""
+    real, radii = evolution.canonical_rate_array, []
 
-    def spy(*args, **kwargs):
-        seen.append(real(*args, **kwargs))
-        return seen[-1]
+    def spy(delta_x, r_s, *args, **kwargs):
+        radii.append(r_s.copy())
+        return real(delta_x, r_s, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "canonical_rate_array", spy)
+    return radii
+
+
+@pytest.mark.parametrize("species", [1, 2])
+@pytest.mark.parametrize("dx_over_rs", [2.7327e-17, 0.3, 30.0])
+def test_evaporating_rates_match_scalar_vacuum_rate(dx_over_rs, species, monkeypatch):
+    # the grid is evaluated as arrays in one call; every rate must carry the
+    # bits of vacuum_rate at the same radius (dx_over_rs = 0.3 crosses
+    # y = 0.05 as the hole shrinks, so both complement branches occur).  The
+    # trace's rate shows them, where the coherence underflows to 0 long
+    # before the mass changes at the larger separations.
+    radii = _spy_on_the_rate(monkeypatch)
     dx = small_hole_dx(dx_over_rs)
     t_bh = evaporation_time(M_SMALL)
     trace = evolve_coherence(M_SMALL, dx, 0.999 * t_bh, steps=101, evaporate=True,
-                             species_multiplicity=2)
+                             species_multiplicity=species)
     # numpy's ** and libm pow may differ in the last bit of the cube root
     expected_mass = np.array([mass_at_time(M_SMALL, float(t)) for t in trace.times])
     assert np.all(np.abs(trace.mass - expected_mass) <= 2.0 * np.spacing(expected_mass))
     expected = np.array([
         vacuum_rate(SuperpositionGeometry(dx, schwarzschild_radius(float(m))),
-                    species_multiplicity=2).rate
+                    species_multiplicity=species).rate
         for m in trace.mass])
-    assert len(seen) == 1
-    assert seen[0].tobytes() == expected.tobytes()
+    assert len(radii) == 1 and len(radii[0]) == 102
+    assert trace.rate.tobytes() == expected.tobytes()
     coherence = np.exp(-_cumulative_parabolic(trace.times, expected))
     assert trace.coherence.tobytes() == coherence.tobytes()
+
+
+@pytest.mark.parametrize("species", [1, 2])
+@pytest.mark.parametrize("dx_over_rs", [0.0, 1e-6, 0.3, 30.0, 1e4])
+def test_constant_mass_rate_is_one_evaluation_at_t0(dx_over_rs, species, monkeypatch):
+    # one call on the single t = 0 radius, broadcast to the grid: the
+    # complement series (dx_over_rs 1e-6 and 0.3) costs ~0.5 ms per radius
+    radii = _spy_on_the_rate(monkeypatch)
+    geom = SuperpositionGeometry.from_mass(M_MOON, dx_over_rs * schwarzschild_radius(M_MOON))
+    trace = evolve_coherence(M_MOON, geom.delta_x, 1e-9, steps=9,
+                             species_multiplicity=species)
+    assert [r.tolist() for r in radii] == [[geom.r_s]]
+    expected = vacuum_rate(geom, species_multiplicity=species).rate
+    assert trace.rate.tobytes() == np.full(10, expected).tobytes()
+    assert trace.rate.flags.writeable and trace.rate.flags.owndata
+    coherence = np.exp(-_cumulative_parabolic(trace.times, trace.rate))
+    assert trace.coherence.tobytes() == coherence.tobytes()
+
+
+def test_evolution_has_one_rate_routine():
+    assert not hasattr(evolution, "vacuum_rate")
 
 
 def test_trace_invariants():

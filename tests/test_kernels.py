@@ -10,7 +10,7 @@ import pytest
 from hawkdeco import SuperpositionGeometry, overlap_numeric, rate_numeric
 from hawkdeco import numeric, quadrature
 from hawkdeco.quadrature import _NODES, _WG, _WGK, gk15_batch
-from hawkdeco.special import sinc
+from hawkdeco.special import one_minus_sinc, sinc
 from hawkdeco.spectrum import bose_spectral_kernel
 
 
@@ -42,8 +42,22 @@ def where_sinc(x):
     return out
 
 
+def where_one_minus_sinc(x):
+    """Reference: both branches on every element, joined by np.where."""
+    arr = np.asarray(x, dtype=float)
+    small = np.abs(arr) < 0.125
+    safe = np.where(small, 1.0, arr)
+    x2 = arr * arr
+    series = x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0 - x2 * x2 * x2 * x2 / 362880.0
+    out = np.where(small, series, 1.0 - np.sin(safe) / safe)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 def indexed_bose_kernel(u):
-    """Reference: each branch on a fancy-indexed copy of its elements."""
+    """Reference: each branch on a fancy-indexed copy of its elements, and 0
+    past u = 746, where e^-u is 0 (there u^2 e^-u gave NaN from u ~ 1.35e154)."""
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
@@ -53,7 +67,9 @@ def indexed_bose_kernel(u):
     res = np.empty_like(up)
     small = up <= 37.0
     res[small] = up[small] ** 2 / np.expm1(up[small])
-    res[~small] = up[~small] ** 2 * np.exp(-up[~small])
+    tail = ~small & (up <= 746.0)
+    res[tail] = up[tail] ** 2 * np.exp(-up[tail])
+    res[up > 746.0] = 0.0
     out[pos] = res
     if scalar:
         return float(out[0])
@@ -66,6 +82,11 @@ def _around(x):
 
 EDGES = np.array([0.0, -0.0, 1e-5, -1e-5, *_around(1e-4), *_around(-1e-4), *_around(37.0),
                   41.5, 700.0, 1000.0, -0.5, -37.0, -1e3, 5e-324, 1e-300, math.pi, np.nan])
+# past the underflow of e^-u, up to where u^2 overflows and beyond
+BOSE_EDGES = np.concatenate([EDGES, _around(745.0), _around(746.0),
+                             [1e153, 1.35e154, 1e300, math.inf]])
+# the series cut of one_minus_sinc and the far ends
+ONE_MINUS_SINC_EDGES = np.concatenate([EDGES, _around(0.125), _around(-0.125), [1e6, -1e6]])
 # oracle-like node sets: the GK15 nodes of the first 2500 lobes of bose * sinc(300 u)
 LOBES = np.pi * np.arange(2501) / 300.0
 NODES = (0.5 * (LOBES[:-1] + LOBES[1:])[:, None]
@@ -78,16 +99,18 @@ def _same_bits(new, ref):
     assert np.asarray(new).tobytes() == np.asarray(ref).tobytes()
 
 
-@pytest.mark.parametrize("kernel, reference, arguments", [
-    (sinc, where_sinc, [EDGES, 300.0 * NODES, EDGES * 1e-4]),
-    (bose_spectral_kernel, indexed_bose_kernel, [EDGES, NODES, 41.5 - NODES]),
+@pytest.mark.parametrize("kernel, reference, edges, arguments", [
+    (sinc, where_sinc, EDGES, [300.0 * NODES, EDGES * 1e-4]),
+    (one_minus_sinc, where_one_minus_sinc, ONE_MINUS_SINC_EDGES,
+     [300.0 * NODES, NODES, ONE_MINUS_SINC_EDGES * 1e-2]),
+    (bose_spectral_kernel, indexed_bose_kernel, BOSE_EDGES, [NODES, 41.5 - NODES]),
 ])
-def test_kernel_bits_match_the_reference(kernel, reference, arguments):
-    for arr in arguments:
+def test_kernel_bits_match_the_reference(kernel, reference, edges, arguments):
+    for arr in [edges, *arguments]:
         _same_bits(kernel(arr), reference(arr))
         _same_bits(kernel(arr.reshape(1, -1, 1)), reference(arr.reshape(1, -1, 1)))
         _same_bits(kernel(arr[::-3]), reference(arr[::-3]))  # a strided view
-        for x in arr[::97].tolist() + EDGES.tolist():
+        for x in arr[::97].tolist() + edges.tolist():
             _same_bits(kernel(x), reference(x))
             _same_bits(kernel(np.array(x)), reference(np.array(x)))
     _same_bits(kernel(np.empty((0, 3))), reference(np.empty((0, 3))))
@@ -100,6 +123,11 @@ def test_kernels_at_zero_and_past_overflow_are_quiet():
     assert bose_spectral_kernel(0.0) == 0.0
     assert bose_spectral_kernel(np.array([0.0, 1000.0, -1.0])).tolist() == [0.0, 0.0, 0.0]
     assert np.isnan(sinc(np.nan)) and bose_spectral_kernel(np.nan) == 0.0
+    assert one_minus_sinc(0.0) == 0.0 and np.isnan(one_minus_sinc(np.nan))
+    # past u ~ 1.35e154, u^2 overflowed against e^-u = 0: NaN and an overflow warning
+    far = [1e153, 1.35e154, 1e300, math.inf]
+    assert bose_spectral_kernel(np.array(far)).tolist() == [0.0] * 4
+    assert [bose_spectral_kernel(u) for u in far] == [0.0] * 4
 
 
 def test_gk15_batch_bits_match_one_shot_over_ragged_blocks():

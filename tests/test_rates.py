@@ -36,6 +36,7 @@ from hawkdeco import (
     vacuum_rate_saturation,
     vacuum_rate_small_dx,
 )
+from hawkdeco import rates
 from hawkdeco.rates import _trigamma_im_over_y, canonical_rate_array
 
 M_SUN = 1.99e30
@@ -172,6 +173,22 @@ def test_canonical_rate_array_equals_vacuum_rate_bitwise():
     r_s = np.array([1.0, 2.0])
     assert canonical_rate_array(0.0, r_s).tolist() == [
         vacuum_rate(SuperpositionGeometry(0.0, float(r))).rate for r in r_s]
+
+
+def test_canonical_rate_array_checks_its_own_inputs(monkeypatch):
+    # no stand-in EmissionSpectrum: the species count and Lambda_total are
+    # checked here, Lambda_total at the smallest radius, where it peaks
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("canonical_rate_array built an EmissionSpectrum")
+
+    monkeypatch.setattr(rates, "EmissionSpectrum", no_spectrum)
+    r_s = np.array([1.0, 2.0])
+    assert canonical_rate_array(1.0, r_s, species_multiplicity=2).tolist() == [
+        2.0 * x for x in canonical_rate_array(1.0, r_s).tolist()]
+    with pytest.raises(ValueError, match=r"^species_multiplicity must be an integer >= 1"):
+        canonical_rate_array(1.0, r_s, species_multiplicity=0)
+    with pytest.raises(ValueError, match=r"^r_s=1e-303 m puts Lambda_total=inf out of "):
+        canonical_rate_array(1e-300, np.array([1.0, 1e-303, 1e-300]))
 
 
 def test_one_minus_overlap_small_y_leading_order():

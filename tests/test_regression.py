@@ -16,9 +16,9 @@ from hawkdeco import (
 )
 from hawkdeco.regression import (
     RegressionRecord,
-    generate_records,
     load_default_records,
     parse_records,
+    regenerate_default_file,
     write_records,
 )
 from hawkdeco.spectrum import bose_spectral_kernel
@@ -69,9 +69,12 @@ QUADRATURE_GENERATORS = {"overlap_numeric", "rate_numeric"}
 QUADRATURE_ULPS = 16
 
 
-def test_regeneration_matches_committed_file():
+def test_regeneration_matches_committed_file(tmp_path):
+    # through the maintenance entry point the README documents, into a scratch file
     committed = load_default_records()
-    fresh = {r.name: r for r in generate_records()}
+    path = regenerate_default_file(tmp_path / "constants.txt")
+    assert path == tmp_path / "constants.txt"
+    fresh = parse_records(path.read_text(encoding="utf-8"), source=str(path))
     assert set(fresh) == set(committed)
     for name, rec in committed.items():
         if rec.generator in QUADRATURE_GENERATORS:

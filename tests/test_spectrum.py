@@ -134,6 +134,14 @@ def test_frequency_pdf_knob_independence():
             frequency_pdf(base, omega), rel=1e-12)
 
 
+def test_frequency_pdf_far_past_the_spectrum_is_zero():
+    # u ~ 4e292: u^2 overflowed against e^-u = 0, which gave NaN (and an
+    # overflow warning, an error in this suite)
+    spec = EmissionSpectrum(r_s=1.0)
+    assert rate_density(spec, 1e300) == 0.0
+    assert frequency_pdf(spec, 1e300) == 0.0
+
+
 def test_spectral_mode_location():
     # brute-force scan around the stationary point of u^2/(e^u - 1)
     mode = 1.5936242600400403
