@@ -22,8 +22,9 @@ from .blackhole import (BlackHole, CODATA2018, _count, _non_negative, _positive,
                         planck_length, schwarzschild_radius)
 from .evolution import evolve_coherence
 from .quadrature import QuadratureAccuracyError
-from .rates import (SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_PRINTED,
-                    classify_regime, thermal_bh_rate, vacuum_rate)
+from .rates import (SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_FACTOR, VARIANT_PRINTED,
+                    _thermal_rate, canonical_rate_array, classify_regime, thermal_bh_rate,
+                    vacuum_rate)
 from .spectrum import EmissionSpectrum, total_emission_rate
 from .verification import FAIL, run_checks
 
@@ -33,20 +34,20 @@ _PRINTED_NOTICE = (
 )
 
 
-def _json_value(x):
-    # round-trip through the 9-digit display so JSON and CSV encode the
-    # same numbers
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return float(f"{x:.8e}")
-    return x
+def _json_column(values) -> list[str]:
+    """JSON text of a column of one type.  A float goes through the CSV's nine
+    digits, so both formats encode the same numbers; an infinite one is "inf"."""
+    if isinstance(values[0], float):
+        text = list(map(repr, map(float, ("%.8e " * len(values) % tuple(values)).split())))
+        if "nan" in text:
+            json.dumps(math.nan, allow_nan=False)  # raises json's own ValueError
+        return list(map({"inf": '"inf"', "-inf": '"inf"'}.get, text, text))
+    memo = {v: json.dumps(v) for v in set(values)}
+    return list(map(memo.__getitem__, values))
 
 
-def _write(args, output) -> None:
-    """Write a JSON payload (dict) or text (str) to --out or stdout."""
-    if isinstance(output, dict):
-        output = json.dumps(output, indent=2, allow_nan=False) + "\n"
+def _write(args, output: str) -> None:
+    """Write text to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(output)
@@ -57,10 +58,13 @@ def _write(args, output) -> None:
 def _emit(args, header: list[str], rows: list, meta: dict) -> None:
     meta = {**meta, "constants": "CODATA2018"}
     if args.format == "json":
-        _write(args, {
-            "meta": {k: _json_value(v) for k, v in meta.items()},
-            "rows": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows],
-        })
+        # the text json.dumps(indent=2) writes, a column at a time
+        meta_text = ",\n".join(f"    {json.dumps(k)}: {_json_column([v])[0]}"
+                               for k, v in meta.items())
+        row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in header) + "\n    }"
+        cells = tuple(itertools.chain.from_iterable(zip(*map(_json_column, zip(*rows)))))
+        _write(args, '{\n  "meta": {\n' + meta_text + '\n  },\n  "rows": [\n'
+               + ",\n".join([row] * len(rows)) % cells + "\n  ]\n}\n")
     else:
         # One %-format for the whole table, applied once: nine significant
         # digits (or "inf") for a float, "" for None ("%.0s"), str() otherwise.
@@ -107,27 +111,20 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _rate_row(geom: SuperpositionGeometry, mode: str, variant: str, species: int):
-    """(rate, tau, overlap, regime, variant_label); overlap None for thermal."""
-    if mode == "vacuum":
-        res = vacuum_rate(geom, variant, species_multiplicity=species)
-        return res.rate, res.decoherence_time, res.overlap, res.regime, res.variant
-    rate = thermal_bh_rate(geom, species_multiplicity=species)
-    tau = math.inf if rate == 0.0 else 1.0 / rate
-    return rate, tau, None, classify_regime(geom.dx_over_rs), None
-
-
 def cmd_rate(args) -> int:
     geom = _resolve_geometry(args)
     variant = _resolve_variant(args)
-    rate, tau, overlap, regime, variant_label = _rate_row(
-        geom, args.mode, variant, args.species)
-    header = ["rate_si", "tau_d_s", "overlap", "regime", "variant"]
-    rows = [[rate, tau, overlap, regime, variant_label or ""]]
-    _emit(args, header, rows,
+    if args.mode == "vacuum":
+        res = vacuum_rate(geom, variant, species_multiplicity=args.species)
+        row = [res.rate, res.decoherence_time, res.overlap, res.regime, res.variant]
+    else:
+        rate = thermal_bh_rate(geom, species_multiplicity=args.species)
+        tau = math.inf if rate == 0.0 else 1.0 / rate
+        row = [rate, tau, None, classify_regime(geom.dx_over_rs), ""]
+    _emit(args, ["rate_si", "tau_d_s", "overlap", "regime", "variant"], [row],
           meta={"command": "rate", "mass_kg": args.mass, "delta_x_m": geom.delta_x,
                 "dx_over_rs": geom.dx_over_rs, "mode": args.mode,
-                "variant": variant_label, "species_multiplicity": args.species})
+                "variant": row[4] or None, "species_multiplicity": args.species})
     return 0
 
 
@@ -150,12 +147,30 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.linspace(start, stop, npts)
 
+    # Each point fails as it would alone in `rate`, which checks its geometry
+    # first.  The grid ascends, so the points whose dx/R_s or thermal rate
+    # overflows come last.
+    with np.errstate(over="ignore"):
+        delta_x = grid * r_s
+        dx_over_rs = delta_x / r_s
+        point = lambda i: SuperpositionGeometry(float(delta_x[i]), r_s)
+        valid = int(np.searchsorted(dx_over_rs, math.inf))
+        if args.mode == "vacuum":
+            point(0)  # its geometry is checked before Lambda_total, as in `rate`
+            rate, overlap = canonical_rate_array(delta_x[:valid], r_s, CODATA2018, args.species)
+            rate, overlap = VARIANT_FACTOR[variant] * rate, overlap.tolist()
+        else:  # point 0 first: a species count too large for a double fails there
+            thermal_bh_rate(point(0), species_multiplicity=args.species)
+            rate = _thermal_rate(dx_over_rs[:valid], r_s, args.species, CODATA2018)
+            overlap, first = [None] * valid, int(np.searchsorted(rate, math.inf))
+            if first < valid:
+                thermal_bh_rate(point(first), species_multiplicity=args.species)
+        if valid < npts:
+            point(valid)
+        rate_c_over_rs = rate * r_s / CODATA2018.c
     header = ["dx_over_rs", "rate_c_over_rs", "rate_si", "overlap", "regime"]
-    rows = []
-    for x in grid.tolist():
-        geom = SuperpositionGeometry(delta_x=x * r_s, r_s=r_s)
-        rate, _, overlap, regime, _ = _rate_row(geom, args.mode, variant, args.species)
-        rows.append([x, rate * r_s / CODATA2018.c, rate, overlap, regime])
+    rows = list(zip(grid.tolist(), rate_c_over_rs.tolist(), rate.tolist(), overlap,
+                    map(classify_regime, dx_over_rs.tolist()), strict=True))
     _emit(args, header, rows,
           meta={"command": "sweep", "mass_kg": args.mass, "mode": args.mode,
                 "variant": variant if args.mode == "vacuum" else None,
@@ -192,13 +207,13 @@ def cmd_verify(args) -> int:
     results = run_checks()
     failed = sum(1 for r in results if r.status == FAIL)
     if args.format == "json":
-        _write(args, {
+        _write(args, json.dumps({
             "meta": {"command": "verify", "checks": len(results), "failed": failed},
             # an infinite value (a non-finite deviation) is written "inf", as elsewhere
             "rows": [{"name": r.name, "status": r.status, "detail": r.detail,
                       "value": r.value if r.value < math.inf else "inf", "tol": r.tol}
                      for r in results],
-        })
+        }, indent=2, allow_nan=False) + "\n")
     else:
         warned = sum(1 for r in results if r.status == "WARN")
         passed = len(results) - failed - warned

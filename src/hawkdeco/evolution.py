@@ -104,7 +104,7 @@ def evolve_coherence(
         r_s = np.array([schwarzschild_radius(mass0, constants)])
     # raises unless the geometry is valid at the smallest radius, where dx/R_s peaks
     SuperpositionGeometry(delta_x, float(r_s.min()))
-    rates = canonical_rate_array(delta_x, r_s, constants, species_multiplicity)
+    rates = canonical_rate_array(delta_x, r_s, constants, species_multiplicity)[0]
     if not evaporate:
         rates = np.full(steps + 1, rates[0])
 

@@ -13,7 +13,8 @@ where the emitted-photon overlap has the closed form
 real by conjugation symmetry.  It is evaluated in real arithmetic only
 (nine recurrence terms, then the Bernoulli asymptotic series at 10 + iy),
 so one function body serves a Python float and a numpy array of y and
-gives the same bits for both.  Limits:
+gives the same bits for both.  Below y = 0.05, 1 - overlap comes from
+its own positive series, summed for an array of y at once.  Limits:
 
     small separation:  Gamma -> (27 zeta(5) / (256 pi^6)) (dx/R_s)^2 (c/R_s)
     large separation:  Gamma -> Lambda_total = 27 zeta(3) c / (32 pi^4 R_s)
@@ -52,6 +53,7 @@ from .spectrum import EmissionSpectrum, closed_form_emission_rate, total_emissio
 VARIANT_CANONICAL = "canonical_appendix"
 VARIANT_PRINTED = "printed_eq8"
 VARIANTS = (VARIANT_CANONICAL, VARIANT_PRINTED)
+VARIANT_FACTOR = {VARIANT_CANONICAL: 1.0, VARIANT_PRINTED: 4.0}  # times the canonical rate
 
 REGIME_SMALL = "small_separation"
 REGIME_CROSSOVER = "crossover"
@@ -62,6 +64,13 @@ REGIME_SATURATED = "saturated"
 # by y = 1e-4 while the rate limit needs full relative accuracy.
 _COMPLEMENT_SERIES_CUT = 0.05
 _COMPLEMENT_SERIES_TERMS = 20000
+# numpy sums a row pairwise, splitting n terms at n//2 - (n//2) % 8.  Three such
+# splits cut the N terms (m from N down to 1) into eight blocks; their row sums,
+# added up the same tree, give np.sum over all N terms bit for bit.  Rows of 3
+# values of y (60 KB a block) keep each temporary under glibc's mmap threshold.
+_SERIES_ROWS, _SERIES_WIDTH = 3, 2504
+_SERIES_BLOCKS = [(m * m, 2.0 * m * m, m * m * m) for m in np.split(
+    np.arange(float(_COMPLEMENT_SERIES_TERMS), 0.0, -1.0), np.cumsum([2496, 2504] * 3 + [2496]))]
 
 # Shifts a of the trigamma recurrence psi1(1 + iy) = sum_{a=1}^{9} 1/(a + iy)^2
 # + psi1(10 + iy), largest first so that the smallest terms are added first.
@@ -181,23 +190,36 @@ def vacuum_overlap(geom: SuperpositionGeometry) -> float:
     return _trigamma_im_over_y(y) / _TWO_ZETA3
 
 
-def _one_minus_overlap_series(y: float) -> float:
+def _one_minus_overlap_series(y: np.ndarray) -> np.ndarray:
     # 1 - overlap = (y^2/zeta(3)) sum_m (2 m^2 + y^2) / (m^3 (m^2 + y^2)^2),
     # every term positive, so no cancellation at any y.  Truncation after N
     # terms is bounded by the integral 1/(2 N^4) plus half the last term.
-    m = np.arange(1.0, _COMPLEMENT_SERIES_TERMS + 1.0)
-    m2 = m * m
-    denom = m2 + y * y
-    terms = (2.0 * m2 + y * y) / (m * m2 * denom * denom)
+    # A y's sum does not depend on its neighbours in the batch.
+    y2 = y * y
+    sums = np.empty_like(y2)
+    d = np.empty((min(_SERIES_ROWS, y2.size), _SERIES_WIDTH))
+    t = np.empty_like(d)
+    for i in range(0, y2.size, _SERIES_ROWS):
+        rows = y2[i:i + _SERIES_ROWS, None]
+        s = []
+        for m2, two_m2, m3 in _SERIES_BLOCKS:
+            dj, tj = d[:len(rows), :len(m2)], t[:len(rows), :len(m2)]
+            np.add(m2, rows, out=dj)
+            np.multiply(m3, dj, out=tj)
+            tj *= dj  # m^3 (m^2 + y^2)^2
+            np.add(two_m2, rows, out=dj)
+            s.append(np.divide(dj, tj, out=dj).sum(axis=1))
+        while len(s) > 1:  # the pairwise tree over the eight block sums
+            s = [a + b for a, b in zip(s[0::2], s[1::2])]
+        sums[i:i + _SERIES_ROWS] = s[0]
     n = float(_COMPLEMENT_SERIES_TERMS)
-    tail = 0.5 / n ** 4 - 1.0 / n ** 5
-    return y * y * (float(np.sum(terms[::-1])) + tail) / zeta_int(3)
+    return y2 * (sums + (0.5 / n ** 4 - 1.0 / n ** 5)) / zeta_int(3)
 
 
 def _complement(y: float, overlap: float) -> float:
     # 1 - overlap, from the positive series where the subtraction loses digits
     if 0.0 < y < _COMPLEMENT_SERIES_CUT:
-        return _one_minus_overlap_series(y)
+        return float(_one_minus_overlap_series(np.array([y]))[0])
     return 1.0 - overlap
 
 
@@ -221,7 +243,7 @@ def vacuum_rate(
 
     canonical_appendix: Lambda_total (1 - overlap).
     printed_eq8: same expression with all coefficient denominators 8 pi^k
-    in place of 32 pi^k, i.e. exactly 4x canonical.
+    in place of 32 pi^k, i.e. exactly 4x canonical (VARIANT_FACTOR).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -229,11 +251,8 @@ def vacuum_rate(
                                 constants=constants)
     lam = total_emission_rate(spectrum)
     overlap = vacuum_overlap(geom)
-    rate = lam * _complement(geom.y, overlap)
-    if variant == VARIANT_PRINTED:
-        rate = 4.0 * rate
     return DecoherenceResult(
-        rate=rate,
+        rate=VARIANT_FACTOR[variant] * (lam * _complement(geom.y, overlap)),
         overlap=overlap,
         lambda_total=lam,
         regime=classify_regime(geom.dx_over_rs),
@@ -242,26 +261,27 @@ def vacuum_rate(
 
 
 def canonical_rate_array(
-    delta_x: float,
-    r_s: np.ndarray,
+    delta_x,
+    r_s,
     constants: PhysicalConstants = CODATA2018,
     species_multiplicity: int = 1,
-) -> np.ndarray:
-    """vacuum_rate(SuperpositionGeometry(delta_x, r), ...).rate for every
-    radius r in the array r_s, bit for bit, from one array evaluation of
-    the overlap.  The caller validates the geometries; elements on the
-    complement-series branch (y < 0.05) are evaluated one at a time.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rate, overlap) of vacuum_rate(SuperpositionGeometry(dx, r), ...) at every
+    dx, r of delta_x and r_s broadcast together, bit for bit: separations at one
+    radius (`sweep`) or radii at one separation (`evolve`), from one trigamma
+    pass and one series call.  The caller validates the geometries."""
     n = _count("species_multiplicity", species_multiplicity)
-    r_min = float(r_s.min())  # Lambda_total peaks there: range-check it once
+    r_min = float(np.min(r_s))  # Lambda_total peaks there: range-check it once
     _in_range("Lambda_total", lambda: closed_form_emission_rate(r_min, n, constants),
               "r_s={!r} m", r_min)
     y = delta_x / (4.0 * math.pi * r_s)
     with np.errstate(over="ignore"):  # y * y past 1e154, where the terms are +0.0
-        complement = 1.0 - _trigamma_im_over_y(y) / _TWO_ZETA3
-    for i in np.flatnonzero(y < _COMPLEMENT_SERIES_CUT):
-        complement[i] = _complement(float(y[i]), 1.0)  # the overlap at y = 0 is 1
-    return closed_form_emission_rate(r_s, n, constants) * complement
+        overlap = _trigamma_im_over_y(y) / _TWO_ZETA3
+    overlap[y == 0.0] = 1.0
+    complement = 1.0 - overlap
+    near = (0.0 < y) & (y < _COMPLEMENT_SERIES_CUT)
+    complement[near] = _one_minus_overlap_series(y[near])
+    return closed_form_emission_rate(r_s, n, constants) * complement, overlap
 
 
 def vacuum_rate_small_dx(
@@ -355,11 +375,15 @@ def thermal_bh_rate(
     Specializes the sphere formula with a^2 = 27 R_s^2 and T = T_H; all
     powers of hbar cancel, leaving d (dx/R_s)^2 (c/R_s).
     """
-    _count("species_multiplicity", species_multiplicity)
+    n = _count("species_multiplicity", species_multiplicity)
     x = geom.dx_over_rs
-    return _in_range("thermal_bh_rate", lambda: (
-        species_multiplicity * thermal_coefficient() * x * x * constants.c / geom.r_s),
-        "dx/R_s={!r} at r_s={!r} m", x, geom.r_s, lowest=0.0)
+    return _in_range("thermal_bh_rate", lambda: _thermal_rate(x, geom.r_s, n, constants),
+                     "dx/R_s={!r} at r_s={!r} m", x, geom.r_s, lowest=0.0)
+
+
+def _thermal_rate(x, r_s: float, n: int, constants: PhysicalConstants):
+    # d (dx/R_s)^2 (c/R_s), unchecked, at x = dx/R_s: a float or an array
+    return n * thermal_coefficient() * x * x * constants.c / r_s
 
 
 def thermal_localization_coeff(rounded: bool = False) -> float:

@@ -125,24 +125,35 @@ def trigamma_complex(z: complex) -> complex:
     return acc + trigamma_asymptotic(z)
 
 
+def _sin_over_x(x, cut: float, series, complement: bool):
+    # sin(x)/x, or 1 - sin(x)/x, in one pass over the contiguous array (a
+    # strided loop may round sin differently); |x| < cut takes series(x^2)
+    # and x = +-inf the limit, by mask only when such elements exist.
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    small = np.abs(flat) < cut
+    infinite = np.isinf(flat)
+    rare = small.any() or infinite.any()
+    with np.errstate(invalid="ignore") if rare else contextlib.nullcontext():  # 0/0, sin(inf)
+        out = np.sin(flat)
+        out /= flat
+        if complement:
+            np.subtract(1.0, out, out=out)
+    if rare:
+        out[small] = series(flat[small] ** 2)
+        out[infinite] = float(complement)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 def sinc(x):
-    """sin(x)/x with sinc(0) = 1.
+    """sin(x)/x with sinc(0) = 1 and sinc(+-inf) = 0.
 
     Below |x| = 1e-4 the two-term Taylor polynomial 1 - x^2/6 + x^4/120 is
     used; its truncation error x^6/5040 < 2e-28 there.  Accepts scalars or
     numpy arrays and mirrors the input kind.
     """
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()  # contiguous: a strided loop may round sin differently
-    small = np.abs(flat) < _SINC_SERIES_CUT
-    rare = small.any()
-    with np.errstate(invalid="ignore") if rare else contextlib.nullcontext():  # 0/0 at x = 0
-        out = np.sin(flat)
-        out /= flat
-    if rare:
-        x2 = flat[small] ** 2
-        out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _sin_over_x(x, _SINC_SERIES_CUT,
+                       lambda x2: 1.0 - x2 / 6.0 + x2 * x2 / 120.0, complement=False)
 
 
 def one_minus_sinc(x):
@@ -151,18 +162,8 @@ def one_minus_sinc(x):
     Direct subtraction loses all significance as x -> 0 while the quantity
     itself is ~x^2/6, so below |x| = 0.125 the alternating series
     x^2/6 - x^4/120 + x^6/5040 - x^8/362880 is used (next term < 1e-14 of
-    the leading one at the cut).
+    the leading one at the cut).  1 at x = +-inf.
     """
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()  # contiguous: a strided loop may round sin differently
-    small = np.abs(flat) < _ONE_MINUS_SINC_CUT
-    rare = small.any()
-    with np.errstate(invalid="ignore") if rare else contextlib.nullcontext():  # 0/0 at x = 0
-        out = np.sin(flat)
-        out /= flat
-        np.subtract(1.0, out, out=out)
-    if rare:
-        x2 = flat[small] ** 2
-        out[small] = (x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0
-                      - x2 * x2 * x2 * x2 / 362880.0)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _sin_over_x(x, _ONE_MINUS_SINC_CUT, lambda x2: (
+        x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0 - x2 * x2 * x2 * x2 / 362880.0),
+        complement=True)

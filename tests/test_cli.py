@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hawkdeco
@@ -437,6 +438,10 @@ def reference_emit(args, header, rows, meta):
     ("evolve", "--mass", "7.35e22", "--dx", "0.01", "--t-max", "1.7e-10", "--steps", "16"),
     ("evolve", "--mass", "1e10", "--dx-over-rs", "10", "--t-max", "1e10", "--steps", "64",
      "--evaporate"),
+    ("evolve", "--mass", "7.342e22", "--dx-over-rs", "3", "--t-max", "1e-9", "--steps", "4096",
+     "--evaporate"),
+    ("sweep", "--mass", "7.342e22", "--dx-over-rs", "1", "1e4", "2000", "--variant",
+     "printed_eq8", "--species", "3"),
 ])
 def test_table_writer_matches_the_per_cell_reference(capsys, monkeypatch, argv, fmt):
     argv = argv + ("--format", fmt)
@@ -446,6 +451,74 @@ def test_table_writer_matches_the_per_cell_reference(capsys, monkeypatch, argv, 
         reference = run(capsys, *argv)
     assert expected[0] == 0
     assert expected == reference
+
+
+def test_json_writer_rejects_nan_as_json_does():
+    with pytest.raises(ValueError) as new:
+        cli._json_column([1.0, math.nan])
+    with pytest.raises(ValueError) as old:
+        json.dumps([1.0, math.nan], allow_nan=False)
+    assert str(new.value) == str(old.value)
+
+
+def per_point_sweep(mass, start, stop, points, spacing, mode, variant, species):
+    """Reference: the sweep table row by row, one SuperpositionGeometry and
+    one vacuum_rate or thermal_bh_rate call per point."""
+    r_s = hawkdeco.schwarzschild_radius(mass)
+    if spacing == "log":
+        grid = np.logspace(math.log10(start), math.log10(stop), points)
+    else:
+        grid = np.linspace(start, stop, points)
+    lines = ["dx_over_rs,rate_c_over_rs,rate_si,overlap,regime"]
+    for x in grid.tolist():
+        geom = hawkdeco.SuperpositionGeometry(delta_x=x * r_s, r_s=r_s)
+        if mode == "vacuum":
+            res = hawkdeco.vacuum_rate(geom, variant, species_multiplicity=species)
+            rate, overlap = res.rate, f"{res.overlap:.8e}"
+        else:
+            rate, overlap = hawkdeco.thermal_bh_rate(geom, species_multiplicity=species), ""
+        regime = hawkdeco.classify_regime(geom.dx_over_rs)
+        lines.append(f"{x:.8e},{rate * r_s / hawkdeco.CODATA2018.c:.8e},{rate:.8e},{overlap},"
+                     f"{regime}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("species", [1, 3])
+@pytest.mark.parametrize("mode, variant", [
+    ("vacuum", "canonical"), ("vacuum", "printed_eq8"), ("thermal", "canonical")])
+@pytest.mark.parametrize("start, stop, points, spacing", [
+    (1e-3, 1e4, 301, "log"),        # crosses y = 0.05 at dx/R_s = 0.63
+    (0.0, 2.0, 257, "linear"),      # from coincident branches
+    (0.6, 0.65, 40, "linear"),      # dense around the series cut
+])
+def test_sweep_equals_the_per_point_reference(capsys, species, mode, variant, start, stop,
+                                             points, spacing):
+    mass = 7.342e22
+    code, out, _ = run(capsys, "sweep", "--mass", repr(mass), "--dx-over-rs", repr(start),
+                       repr(stop), str(points), "--spacing", spacing, "--mode", mode,
+                       "--variant", variant, "--species", str(species))
+    assert code == 0
+    rates_variant = {"canonical": hawkdeco.VARIANT_CANONICAL,
+                     "printed_eq8": hawkdeco.VARIANT_PRINTED}[variant]
+    assert out == per_point_sweep(mass, start, stop, points, spacing, mode, rates_variant,
+                                  species)
+
+
+@pytest.mark.parametrize("mass, start, stop, mode, species", [
+    (1.0, 1.0, 1e200, "thermal", 1),          # the thermal rate overflows at point 3
+    (1e30, 1.0, 1e308, "vacuum", 1),          # delta_x overflows at point 3
+    (1e30, 1.0, 1e308, "thermal", 1),         # the thermal rate overflows at point 2
+    (1e30, 1e306, 1e307, "vacuum", 10 ** 400),  # point 1's geometry, before Lambda_total
+    (1.0, 1.0, 2.0, "vacuum", 10 ** 400),     # Lambda_total, the same at every point
+    (1.0, 1.0, 2.0, "thermal", 10 ** 400),    # species * d is past the largest double
+], ids=["thermal-3", "geometry-3", "thermal-2", "geometry-1", "lambda-1", "species-1"])
+def test_sweep_fails_where_the_per_point_reference_fails(capsys, mass, start, stop, mode,
+                                                         species):
+    with pytest.raises(ValueError) as expected:
+        per_point_sweep(mass, start, stop, 3, "log", mode, hawkdeco.VARIANT_CANONICAL, species)
+    code, out, err = run(capsys, "sweep", "--mass", repr(mass), "--dx-over-rs", repr(start),
+                         repr(stop), "3", "--mode", mode, "--species", str(species))
+    assert (code, out, err) == (2, "", f"error: {expected.value}\n")
 
 
 def _fresh(argv):

@@ -31,25 +31,29 @@ def one_shot_gk15_batch(f, a, b):
 
 
 def where_sinc(x):
-    """Reference: both branches on every element, joined by np.where."""
-    arr = np.asarray(x, dtype=float)
+    """Reference: both branches on every element, joined by np.where; 0 at +-inf."""
+    infinite = np.isinf(x)
+    arr = np.where(infinite, 1.0, np.asarray(x, dtype=float))
     small = np.abs(arr) < 1e-4
     safe = np.where(small, 1.0, arr)
     x2 = arr * arr
     out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
+    out = np.where(infinite, 0.0, out)
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def where_one_minus_sinc(x):
-    """Reference: both branches on every element, joined by np.where."""
-    arr = np.asarray(x, dtype=float)
+    """Reference: both branches on every element, joined by np.where; 1 at +-inf."""
+    infinite = np.isinf(x)
+    arr = np.where(infinite, 1.0, np.asarray(x, dtype=float))
     small = np.abs(arr) < 0.125
     safe = np.where(small, 1.0, arr)
     x2 = arr * arr
     series = x2 / 6.0 - x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0 - x2 * x2 * x2 * x2 / 362880.0
     out = np.where(small, series, 1.0 - np.sin(safe) / safe)
+    out = np.where(infinite, 1.0, out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -81,7 +85,8 @@ def _around(x):
 
 
 EDGES = np.array([0.0, -0.0, 1e-5, -1e-5, *_around(1e-4), *_around(-1e-4), *_around(37.0),
-                  41.5, 700.0, 1000.0, -0.5, -37.0, -1e3, 5e-324, 1e-300, math.pi, np.nan])
+                  41.5, 700.0, 1000.0, -0.5, -37.0, -1e3, 5e-324, 1e-300, math.pi, np.nan,
+                  math.inf, -math.inf])
 # past the underflow of e^-u, up to where u^2 overflows and beyond
 BOSE_EDGES = np.concatenate([EDGES, _around(745.0), _around(746.0),
                              [1e153, 1.35e154, 1e300, math.inf]])
@@ -124,6 +129,10 @@ def test_kernels_at_zero_and_past_overflow_are_quiet():
     assert bose_spectral_kernel(np.array([0.0, 1000.0, -1.0])).tolist() == [0.0, 0.0, 0.0]
     assert np.isnan(sinc(np.nan)) and bose_spectral_kernel(np.nan) == 0.0
     assert one_minus_sinc(0.0) == 0.0 and np.isnan(one_minus_sinc(np.nan))
+    # sin(x)/x -> 0 at +-inf, where sin itself is NaN with an invalid-value warning
+    assert [sinc(math.inf), sinc(-math.inf)] == [0.0, 0.0]
+    assert [one_minus_sinc(math.inf), one_minus_sinc(-math.inf)] == [1.0, 1.0]
+    assert sinc(np.array([math.inf, 1e-5, np.nan, 2.0])).tolist()[:2] == [0.0, sinc(1e-5)]
     # past u ~ 1.35e154, u^2 overflowed against e^-u = 0: NaN and an overflow warning
     far = [1e153, 1.35e154, 1e300, math.inf]
     assert bose_spectral_kernel(np.array(far)).tolist() == [0.0] * 4

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -38,6 +39,7 @@ from hawkdeco import (
 )
 from hawkdeco import rates
 from hawkdeco.rates import _trigamma_im_over_y, canonical_rate_array
+from hawkdeco.special import zeta_int
 
 M_SUN = 1.99e30
 M_EARTH = 5.97e24
@@ -167,12 +169,29 @@ def test_canonical_rate_array_equals_vacuum_rate_bitwise():
                               species_multiplicity=species).rate for r in r_s]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning from y * y
-            array = canonical_rate_array(delta_x, r_s, species_multiplicity=species)
+            array = canonical_rate_array(delta_x, r_s, species_multiplicity=species)[0]
         assert array.tobytes() == np.array(scalar).tobytes()
     # coincident branches
     r_s = np.array([1.0, 2.0])
-    assert canonical_rate_array(0.0, r_s).tolist() == [
+    assert canonical_rate_array(0.0, r_s)[0].tolist() == [
         vacuum_rate(SuperpositionGeometry(0.0, float(r))).rate for r in r_s]
+
+
+def test_canonical_rate_array_over_separations_equals_vacuum_rate_bitwise():
+    # the `sweep` orientation: an array of separations at one radius, from
+    # dx = 0 through both complement branches (an odd count of series points)
+    # to y past 1e154
+    r_s = 7.3e-5
+    delta_x = np.concatenate([[0.0, 1e-320], 4.0 * math.pi * r_s * np.array(
+        [1e-9, 0.01, 0.0499, 0.05]), r_s * np.logspace(-3.0, 300.0, 45)])
+    for species in (1, 3):
+        scalar = [vacuum_rate(SuperpositionGeometry(float(dx), r_s),
+                              species_multiplicity=species) for dx in delta_x]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate, overlap = canonical_rate_array(delta_x, r_s, species_multiplicity=species)
+        assert rate.tobytes() == np.array([res.rate for res in scalar]).tobytes()
+        assert overlap.tobytes() == np.array([res.overlap for res in scalar]).tobytes()
 
 
 def test_canonical_rate_array_checks_its_own_inputs(monkeypatch):
@@ -183,8 +202,8 @@ def test_canonical_rate_array_checks_its_own_inputs(monkeypatch):
 
     monkeypatch.setattr(rates, "EmissionSpectrum", no_spectrum)
     r_s = np.array([1.0, 2.0])
-    assert canonical_rate_array(1.0, r_s, species_multiplicity=2).tolist() == [
-        2.0 * x for x in canonical_rate_array(1.0, r_s).tolist()]
+    assert canonical_rate_array(1.0, r_s, species_multiplicity=2)[0].tolist() == [
+        2.0 * x for x in canonical_rate_array(1.0, r_s)[0].tolist()]
     with pytest.raises(ValueError, match=r"^species_multiplicity must be an integer >= 1"):
         canonical_rate_array(1.0, r_s, species_multiplicity=0)
     with pytest.raises(ValueError, match=r"^r_s=1e-303 m puts Lambda_total=inf out of "):
@@ -205,6 +224,61 @@ def test_one_minus_overlap_branch_continuity():
         geom = geom_at(4.0 * math.pi * y)
         direct = 1.0 - vacuum_overlap(geom)
         assert one_minus_overlap(geom) == pytest.approx(direct, rel=5e-12)
+
+
+def test_complement_series_batch_equals_one_element_calls_bitwise():
+    # 3 y per block: batch sizes 0, 1 and 2 modulo 3, the cut, y^2 underflowing
+    ys = np.concatenate([[1e-170, 1e-9], np.logspace(-8.0, math.log10(0.0499), 36), [0.05]])
+    for batch in (ys, ys[:-1], ys[:-2], ys[:1]):
+        one_by_one = [rates._one_minus_overlap_series(np.array([y]))[0] for y in batch]
+        assert rates._one_minus_overlap_series(batch).tobytes() == np.array(one_by_one).tobytes()
+    # the scalar route runs the same body on one element
+    geoms = [SuperpositionGeometry(4.0 * math.pi * float(y), 1.0) for y in ys[:-1]]
+    assert [one_minus_overlap(g) for g in geoms] == rates._one_minus_overlap_series(
+        np.array([g.y for g in geoms])).tolist()
+
+
+def test_complement_series_is_one_numpy_sum_over_all_terms_bitwise():
+    # the blocks and their pairwise tree give np.sum over all N terms, m from
+    # N down to 1, bit for bit; the tail is added after the sum
+    n = 20000.0
+    m = np.arange(1.0, n + 1.0)
+    m2 = m * m
+    ys = np.concatenate([[1e-170, 1e-9], np.logspace(-8.0, math.log10(0.0499), 60)])
+    expected = []
+    for y in ys.tolist():
+        denom = m2 + y * y
+        terms = (2.0 * m2 + y * y) / (m * m2 * denom * denom)
+        tail = 0.5 / n ** 4 - 1.0 / n ** 5
+        expected.append(y * y * (float(np.sum(terms[::-1])) + tail) / zeta_int(3))
+    assert rates._one_minus_overlap_series(ys).tolist() == expected
+
+
+def test_complement_series_call_stays_under_the_mmap_threshold():
+    # every temporary of the series is at most 60 KB, under glibc's 128 KiB
+    # mmap threshold, so one scalar call stays below 128 KiB too
+    geom = geom_at(4.0 * math.pi * 0.01)
+    one_minus_overlap(geom)
+    tracemalloc.start()
+    try:
+        one_minus_overlap(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 1024
+
+
+def test_complement_series_against_mpmath():
+    # 200 log-spaced y in [1e-8, 0.05), against 50-digit
+    # 1 + Im psi1(1 + iy) / (2 zeta(3) y); the worst is about 5.4e-16
+    ys = np.logspace(-8.0, math.log10(0.05), 201)[:-1]
+    worst = 0.0
+    with mpmath.workdps(50):
+        two_zeta3 = 2 * mpmath.zeta(3)
+        for y, got in zip(ys.tolist(), rates._one_minus_overlap_series(ys).tolist()):
+            exact = 1 + mpmath.im(mpmath.psi(1, mpmath.mpc(1, y))) / (two_zeta3 * y)
+            worst = max(worst, float(abs(got - exact) / exact))
+    assert worst <= 1.5e-15
 
 
 def test_one_minus_overlap_positive():
