@@ -88,11 +88,19 @@ CODATA2018 = PhysicalConstants(
 )
 
 
+# Unchecked float-or-array bodies of R_s(M) and M(t), shared with evolve_coherence.
+def _radius(mass, constants: PhysicalConstants):
+    return 2.0 * constants.G * mass / constants.c ** 2
+
+
+def _mass_at(mass0: float, t, t_bh: float):
+    return mass0 * (1.0 - t / t_bh) ** (1.0 / 3.0)
+
+
 def schwarzschild_radius(mass: float, constants: PhysicalConstants = CODATA2018) -> float:
     """R_s = 2 G M / c^2 in metres.  mass must be positive."""
     _positive("mass", mass)
-    return _in_range("r_s", lambda: 2.0 * constants.G * mass / constants.c ** 2,
-                     "mass={!r} kg", mass)
+    return _in_range("r_s", lambda: _radius(mass, constants), "mass={!r} kg", mass)
 
 
 def hawking_temperature(mass: float, constants: PhysicalConstants = CODATA2018) -> float:
@@ -129,7 +137,7 @@ def mass_at_time(mass0: float, t: float, constants: PhysicalConstants = CODATA20
     t_bh = evaporation_time(mass0, constants)
     if t >= t_bh:
         raise ValueError(f"t={t} is at or past the evaporation time {t_bh}")
-    return mass0 * (1.0 - t / t_bh) ** (1.0 / 3.0)
+    return _mass_at(mass0, t, t_bh)
 
 
 @dataclass(frozen=True)

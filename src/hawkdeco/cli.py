@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .blackhole import (BlackHole, CODATA2018, _count, _non_negative, _positive,
+from .blackhole import (BlackHole, CODATA2018, _count, _in_range, _non_negative, _positive,
                         planck_length, schwarzschild_radius)
 from .evolution import evolve_coherence
 from .quadrature import QuadratureAccuracyError
@@ -75,15 +75,18 @@ def _emit(args, header: list[str], rows: list, meta: dict) -> None:
         _write(args, ",".join(header) + "\n" + (line + "\n") * len(rows) % cells)
 
 
+def _delta_x(dx_over_rs: float, r_s: float) -> float:
+    """The separation in metres of dx/R_s = dx_over_rs; an overflow names --dx-over-rs."""
+    return _in_range("delta_x", lambda: dx_over_rs * r_s, "--dx-over-rs={!r}", dx_over_rs,
+                     lowest=0.0)
+
+
 def _resolve_geometry(args) -> SuperpositionGeometry:
     r_s = schwarzschild_radius(args.mass)
-    given = [args.dx is not None, args.dx_over_rs is not None]
-    if sum(given) != 1:
+    if (args.dx is None) == (args.dx_over_rs is None):
         raise ValueError("provide exactly one of --dx or --dx-over-rs")
-    if args.dx is not None:
-        delta_x = _non_negative("--dx", args.dx)
-    else:
-        delta_x = _non_negative("--dx-over-rs", args.dx_over_rs) * r_s
+    delta_x = (_non_negative("--dx", args.dx) if args.dx is not None
+               else _delta_x(_non_negative("--dx-over-rs", args.dx_over_rs), r_s))
     return SuperpositionGeometry(delta_x=delta_x, r_s=r_s)
 
 
@@ -142,10 +145,10 @@ def cmd_sweep(args) -> int:
     variant = _resolve_variant(args)
 
     r_s = schwarzschild_radius(args.mass)
-    if args.spacing == "log":
-        grid = np.logspace(math.log10(start), math.log10(stop), npts)
-    else:
-        grid = np.linspace(start, stop, npts)
+    with np.errstate(over="ignore"):  # 10**log10(stop) may round past the largest double
+        grid = (np.logspace(math.log10(start), math.log10(stop), npts) if args.spacing == "log"
+                else np.linspace(start, stop, npts))
+    grid[0], grid[-1] = start, stop  # the grid runs from START to STOP exactly
 
     # Each point fails as it would alone in `rate`, which checks its geometry
     # first.  The grid ascends, so the points whose dx/R_s or thermal rate
@@ -153,7 +156,7 @@ def cmd_sweep(args) -> int:
     with np.errstate(over="ignore"):
         delta_x = grid * r_s
         dx_over_rs = delta_x / r_s
-        point = lambda i: SuperpositionGeometry(float(delta_x[i]), r_s)
+        point = lambda i: SuperpositionGeometry(_delta_x(float(grid[i]), r_s), r_s)
         valid = int(np.searchsorted(dx_over_rs, math.inf))
         if args.mode == "vacuum":
             point(0)  # its geometry is checked before Lambda_total, as in `rate`

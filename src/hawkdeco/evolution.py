@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import (CODATA2018, PhysicalConstants, _count, _positive, evaporation_time,
-                        schwarzschild_radius)
+from .blackhole import (CODATA2018, PhysicalConstants, _count, _mass_at, _positive, _radius,
+                        evaporation_time, schwarzschild_radius)
 from .rates import SuperpositionGeometry, canonical_rate_array
 
 
@@ -96,9 +96,8 @@ def evolve_coherence(
 
     times = np.linspace(0.0, t_max, steps + 1)
     if evaporate:
-        # blackhole.mass_at_time and schwarzschild_radius, elementwise
-        masses = mass0 * (1.0 - times / t_bh) ** (1.0 / 3.0)
-        r_s = 2.0 * constants.G * masses / constants.c ** 2
+        masses = _mass_at(mass0, times, t_bh)
+        r_s = _radius(masses, constants)
     else:
         masses = np.full(steps + 1, mass0)
         r_s = np.array([schwarzschild_radius(mass0, constants)])

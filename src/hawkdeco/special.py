@@ -1,4 +1,4 @@
-"""Special functions needed by the decoherence closed forms.
+"""Special functions for the decoherence closed forms and their checks.
 
 Three primitives live here:
 
@@ -6,11 +6,10 @@ Three primitives live here:
   * trigamma_complex -- psi^(1)(z) for complex z off the non-positive integers
   * sinc(x)          -- sin(x)/x with a series branch near zero
 
-The trigamma evaluation uses the standard pairing of the upward recurrence
-
-    psi1(z) = psi1(z + 1) + 1/z^2
-
-with the asymptotic expansion
+The rates do not call trigamma_complex: they take Im psi1(1 + iy) / y from
+rates._trigamma_im_over_y in real arithmetic; the tests check that routine
+against trigamma_complex, an independent reference, which pairs the upward
+recurrence psi1(z) = psi1(z + 1) + 1/z^2 with the asymptotic expansion
 
     psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
 

@@ -1,10 +1,10 @@
 """Frozen reference values and their on-disk record format.
 
-Every number that the test suite pins against drift is generated by the
-numerical routes in this package (quadrature, direct series, bisection),
-written to a text file of key-value records, and committed.  Records
-carry the generator name and its parameters so a reader can re-derive
-any value without archaeology.
+Every number that the test suite pins against drift is generated by
+hawkdeco's own numerical routes (quadrature, direct series, bisection),
+written to data/regression_constants.txt as key-value records, and
+committed.  Records carry the generator name and its parameters so a
+reader can re-derive any value without archaeology.
 
 A record looks like:
 
@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from .blackhole import CODATA2018
-from .quadrature import QuadratureSpec
-from .rates import SuperpositionGeometry, ThermalBathParams, thermal_sphere_rate
-from .numeric import overlap_numeric, rate_numeric, trigamma_series
-from .verification import HEADLINE
+from hawkdeco.blackhole import CODATA2018
+from hawkdeco.quadrature import QuadratureSpec
+from hawkdeco.rates import SuperpositionGeometry, ThermalBathParams, thermal_sphere_rate
+from hawkdeco.numeric import overlap_numeric, rate_numeric, trigamma_series
+from hawkdeco.verification import HEADLINE
 
-DEFAULT_RESOURCE = "regression_constants.txt"
+# The committed fixture, next to this module.
+DEFAULT_FILE = Path(__file__).parent / "data" / "regression_constants.txt"
 
 _FIELDS = ("name", "value", "value_hex", "rel_tol", "generator", "params")
 
@@ -59,7 +59,7 @@ class RegressionRecord:
 
 
 def write_records(path: str | Path, records: list[RegressionRecord]) -> None:
-    lines = ["# Reference values regenerated by hawkdeco.regression; do not edit by hand.", ""]
+    lines = ["# Reference values regenerated by tests/regression.py; do not edit by hand.", ""]
     for rec in sorted(records, key=lambda r: r.name):
         lines.append(f"name: {rec.name}")
         lines.append(f"value: {rec.value!r}")
@@ -114,9 +114,8 @@ def parse_records(text: str, source: str = "<string>") -> dict[str, RegressionRe
 
 
 def load_default_records() -> dict[str, RegressionRecord]:
-    """The committed reference file shipped inside the package."""
-    text = resources.files("hawkdeco").joinpath("data", DEFAULT_RESOURCE).read_text("utf-8")
-    return parse_records(text, source=DEFAULT_RESOURCE)
+    """The committed reference file."""
+    return parse_records(DEFAULT_FILE.read_text(encoding="utf-8"), source=str(DEFAULT_FILE))
 
 
 def _bose_mode() -> float:
@@ -217,9 +216,7 @@ def generate_records() -> list[RegressionRecord]:
     return out
 
 
-def regenerate_default_file(path: str | Path | None = None) -> Path:
+def regenerate_default_file(path: str | Path = DEFAULT_FILE) -> Path:
     """Rewrite the committed reference file (maintenance entry point)."""
-    if path is None:
-        path = Path(__file__).parent / "data" / DEFAULT_RESOURCE
     write_records(path, generate_records())
     return Path(path)

@@ -461,16 +461,21 @@ def test_json_writer_rejects_nan_as_json_does():
     assert str(new.value) == str(old.value)
 
 
+def sweep_grid(start, stop, points, spacing):
+    """The dx/R_s column of a sweep: from START to STOP exactly."""
+    if spacing == "linear":
+        return np.linspace(start, stop, points).tolist()
+    with np.errstate(over="ignore"):
+        grid = np.logspace(math.log10(start), math.log10(stop), points).tolist()
+    return [start, *grid[1:-1], stop]
+
+
 def per_point_sweep(mass, start, stop, points, spacing, mode, variant, species):
     """Reference: the sweep table row by row, one SuperpositionGeometry and
     one vacuum_rate or thermal_bh_rate call per point."""
     r_s = hawkdeco.schwarzschild_radius(mass)
-    if spacing == "log":
-        grid = np.logspace(math.log10(start), math.log10(stop), points)
-    else:
-        grid = np.linspace(start, stop, points)
     lines = ["dx_over_rs,rate_c_over_rs,rate_si,overlap,regime"]
-    for x in grid.tolist():
+    for x in sweep_grid(start, stop, points, spacing):
         geom = hawkdeco.SuperpositionGeometry(delta_x=x * r_s, r_s=r_s)
         if mode == "vacuum":
             res = hawkdeco.vacuum_rate(geom, variant, species_multiplicity=species)
@@ -504,21 +509,43 @@ def test_sweep_equals_the_per_point_reference(capsys, species, mode, variant, st
                                   species)
 
 
-@pytest.mark.parametrize("mass, start, stop, mode, species", [
-    (1.0, 1.0, 1e200, "thermal", 1),          # the thermal rate overflows at point 3
-    (1e30, 1.0, 1e308, "vacuum", 1),          # delta_x overflows at point 3
-    (1e30, 1.0, 1e308, "thermal", 1),         # the thermal rate overflows at point 2
-    (1e30, 1e306, 1e307, "vacuum", 10 ** 400),  # point 1's geometry, before Lambda_total
-    (1.0, 1.0, 2.0, "vacuum", 10 ** 400),     # Lambda_total, the same at every point
-    (1.0, 1.0, 2.0, "thermal", 10 ** 400),    # species * d is past the largest double
-], ids=["thermal-3", "geometry-3", "thermal-2", "geometry-1", "lambda-1", "species-1"])
+@pytest.mark.parametrize("mass, start, stop, mode, species, named", [
+    (1.0, 1.0, 1e200, "thermal", 1, "dx/R_s=1e+200 "),  # the thermal rate overflows at point 3
+    (1e30, 1.0, 1e308, "vacuum", 1, "--dx-over-rs=1e+308 "),  # delta_x overflows at point 3
+    (1e30, 1.0, 1e308, "thermal", 1, "dx/R_s=1e+154 "),  # the thermal rate, at point 2
+    (1e30, 1e306, 1e307, "vacuum", 10 ** 400, "--dx-over-rs=1e+306 "),  # before Lambda_total
+    (1.0, 1.0, 2.0, "vacuum", 10 ** 400, "Lambda_total=inf"),  # the same at every point
+    (1.0, 1.0, 2.0, "thermal", 10 ** 400, "dx/R_s=1.0 "),  # species * d past the largest double
+    # STOP is the largest double: the thermal rate overflows at point 2, before it
+    (1.0, 1.0, sys.float_info.max, "thermal", 1, "dx/R_s=1.3407807929942642e+154 "),
+], ids=["thermal-3", "geometry-3", "thermal-2", "geometry-1", "lambda-1", "species-1",
+        "thermal-2-max"])
 def test_sweep_fails_where_the_per_point_reference_fails(capsys, mass, start, stop, mode,
-                                                         species):
-    with pytest.raises(ValueError) as expected:
+                                                         species, named):
+    with pytest.raises(ValueError) as library:
         per_point_sweep(mass, start, stop, 3, "log", mode, hawkdeco.VARIANT_CANONICAL, species)
+    # the error of `rate` at the first grid point where `rate` fails
+    for x in sweep_grid(start, stop, 3, "log"):
+        code, _, expected = run(capsys, "rate", "--mass", repr(mass), "--dx-over-rs", repr(x),
+                                "--mode", mode, "--species", str(species))
+        if code:
+            break
     code, out, err = run(capsys, "sweep", "--mass", repr(mass), "--dx-over-rs", repr(start),
                          repr(stop), "3", "--mode", mode, "--species", str(species))
-    assert (code, out, err) == (2, "", f"error: {expected.value}\n")
+    assert (code, out, err) == (2, "", expected)
+    assert err.startswith("error: ") and named in err
+    if not named.startswith("--dx-over-rs"):  # the library's own error, as `rate` passes it on
+        assert err == f"error: {library.value}\n"
+
+
+def test_sweep_log_grid_ends_at_stop(capsys):
+    # 10**log10(STOP) rounds past the largest double, which STOP itself is not
+    stop = sys.float_info.max
+    code, out, err = run(capsys, "sweep", "--mass", "1", "--dx-over-rs", "1", repr(stop), "3")
+    assert (code, err) == (0, "")
+    assert out == per_point_sweep(1.0, 1.0, stop, 3, "log", "vacuum",
+                                  hawkdeco.VARIANT_CANONICAL, 1)
+    assert out.splitlines()[-1].startswith("1.79769313e+308,")
 
 
 def _fresh(argv):

@@ -1,9 +1,12 @@
 """Committed reference values: file format, round-trip, and drift checks."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
+import hawkdeco
 from hawkdeco import (
     CODATA2018,
     SuperpositionGeometry,
@@ -14,14 +17,14 @@ from hawkdeco import (
     vacuum_overlap,
     vacuum_rate,
 )
-from hawkdeco.regression import (
+from hawkdeco.spectrum import bose_spectral_kernel
+from regression import (
     RegressionRecord,
     load_default_records,
     parse_records,
     regenerate_default_file,
     write_records,
 )
-from hawkdeco.spectrum import bose_spectral_kernel
 
 EXPECTED_NAMES = {
     "bose_mode_u",
@@ -45,6 +48,12 @@ def test_default_file_contents():
         assert rec.rel_tol > 0.0
         assert rec.generator
         assert rec.params
+
+
+def test_the_package_ships_no_fixture():
+    # the fixture and its generator live under tests/, not in the wheel
+    assert importlib.util.find_spec("hawkdeco.regression") is None
+    assert not (Path(hawkdeco.__file__).parent / "data").exists()
 
 
 def test_roundtrip_bit_exact(tmp_path):
