@@ -22,9 +22,9 @@ from .blackhole import (BlackHole, CODATA2018, _count, _in_range, _non_negative,
                         planck_length, schwarzschild_radius)
 from .evolution import evolve_coherence
 from .quadrature import QuadratureAccuracyError
-from .rates import (SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_FACTOR, VARIANT_PRINTED,
-                    _thermal_rate, canonical_rate_array, classify_regime, thermal_bh_rate,
-                    vacuum_rate)
+from .rates import (REGIMES, SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_FACTOR,
+                    VARIANT_PRINTED, _regime_index, _thermal_rate, canonical_rate_array,
+                    classify_regime, thermal_bh_rate, vacuum_rate)
 from .spectrum import EmissionSpectrum, total_emission_rate
 from .verification import FAIL, run_checks
 
@@ -172,8 +172,9 @@ def cmd_sweep(args) -> int:
             point(valid)
         rate_c_over_rs = rate * r_s / CODATA2018.c
     header = ["dx_over_rs", "rate_c_over_rs", "rate_si", "overlap", "regime"]
-    rows = list(zip(grid.tolist(), rate_c_over_rs.tolist(), rate.tolist(), overlap,
-                    map(classify_regime, dx_over_rs.tolist()), strict=True))
+    regime = np.array(REGIMES, dtype=object)[_regime_index(dx_over_rs)].tolist()
+    rows = list(zip(grid.tolist(), rate_c_over_rs.tolist(), rate.tolist(), overlap, regime,
+                    strict=True))
     _emit(args, header, rows,
           meta={"command": "sweep", "mass_kg": args.mass, "mode": args.mode,
                 "variant": variant if args.mode == "vacuum" else None,

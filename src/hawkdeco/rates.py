@@ -58,6 +58,7 @@ VARIANT_FACTOR = {VARIANT_CANONICAL: 1.0, VARIANT_PRINTED: 4.0}  # times the can
 REGIME_SMALL = "small_separation"
 REGIME_CROSSOVER = "crossover"
 REGIME_SATURATED = "saturated"
+REGIMES = (REGIME_SMALL, REGIME_CROSSOVER, REGIME_SATURATED)
 
 # Below this y = dx/(4 pi R_s) the complement 1 - overlap is evaluated by
 # its own positive series; direct subtraction would lose ~half the digits
@@ -132,15 +133,15 @@ class DecoherenceResult:
         return 1.0 / self.rate
 
 
+def _regime_index(dx_over_rs):
+    # index into REGIMES of a valid dx/R_s, a float or an array: below one horizon
+    # radius the quadratic law holds, beyond a hundred the rate has saturated
+    return 1 * (dx_over_rs >= 1.0) + (dx_over_rs > 100.0)
+
+
 def classify_regime(dx_over_rs: float) -> str:
-    """Reporting label: below one horizon radius the quadratic law holds,
-    beyond a hundred the rate has saturated; in between is the crossover."""
-    _non_negative("dx_over_rs", dx_over_rs)
-    if dx_over_rs < 1.0:
-        return REGIME_SMALL
-    if dx_over_rs > 100.0:
-        return REGIME_SATURATED
-    return REGIME_CROSSOVER
+    """Reporting label of dx/R_s, one of REGIMES (see _regime_index)."""
+    return REGIMES[_regime_index(_non_negative("dx_over_rs", dx_over_rs))]
 
 
 def _trigamma_im_over_y(y):
@@ -184,10 +185,11 @@ def vacuum_overlap(geom: SuperpositionGeometry) -> float:
     -Im psi1(1 + iy) / (2 zeta(3) y), real by construction; 1.0 when y = 0
     (coincident branches, or a separation so small that y underflows).
     """
-    y = geom.y
-    if y == 0.0:
-        return 1.0
-    return _trigamma_im_over_y(y) / _TWO_ZETA3
+    return _overlap(geom.y)
+
+
+def _overlap(y: float) -> float:
+    return 1.0 if y == 0.0 else _trigamma_im_over_y(y) / _TWO_ZETA3
 
 
 def _one_minus_overlap_series(y: np.ndarray) -> np.ndarray:
@@ -247,15 +249,15 @@ def vacuum_rate(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    spectrum = EmissionSpectrum(r_s=geom.r_s, species_multiplicity=species_multiplicity,
-                                constants=constants)
-    lam = total_emission_rate(spectrum)
-    overlap = vacuum_overlap(geom)
+    n, r_s, y = _count("species_multiplicity", species_multiplicity), geom.r_s, geom.y
+    lam = _in_range("Lambda_total", lambda: closed_form_emission_rate(r_s, n, constants),
+                    "r_s={!r} m", r_s)
+    overlap = _overlap(y)
     return DecoherenceResult(
-        rate=VARIANT_FACTOR[variant] * (lam * _complement(geom.y, overlap)),
+        rate=VARIANT_FACTOR[variant] * (lam * _complement(y, overlap)),
         overlap=overlap,
         lambda_total=lam,
-        regime=classify_regime(geom.dx_over_rs),
+        regime=REGIMES[_regime_index(geom.dx_over_rs)],
         variant=variant,
     )
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,9 @@ from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_n
 from .special import zeta_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
-# Beyond u ~= 41.5 the Bose factor is below 1e-18 and the remaining tail
-# contributes less than 1e-15 of the total integral (analytic bound
-# e^-U (U^2 + 2U + 2) on int_U^inf u^2 e^-u du).
+# The cut spectrum is integrated over [u_min, U = u_min + 41.5]; the tail dropped
+# above is e^-41.5 (U^2 + 2U + 2) / (u_min^2 + 2 u_min + 2) <= 8.6e-16 of the
+# integral at every cut-off (analytic bound on int_U^inf u^2 e^-u du).
 U_TRUNCATION = 41.5
 
 
@@ -145,19 +146,19 @@ def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:
 
 
 def bose_seed_points(u_min: float) -> list[float]:
-    """Breakpoints for integrating the Bose kernel over [u_min, U_TRUNCATION]:
-    the cut-off, the knees above it (the mode is near u ~ 1.6, decay sets in
-    past ~10) and the truncation.  A cut-off within one unit of the
-    truncation leaves no resolvable spectrum (ValueError)."""
-    if u_min >= U_TRUNCATION - 1.0:
+    """Breakpoints for the Bose kernel on [u_min, u_min + U_TRUNCATION]: the
+    cut-off, the knees above it (mode near u ~ 1.6, decay past ~10) and the
+    truncation.  Past u ~ 721.6 the cut integral, about e^-u (u^2 + 2u + 2),
+    leaves the normal doubles: no resolvable spectrum (ValueError)."""
+    if not u_min - 2.0 * math.log(math.hypot(u_min + 1.0, 1.0)) < -math.log(sys.float_info.min):
         raise ValueError(
             f"omega_min puts the cutoff at u={u_min:.3g}, beyond the resolvable spectrum")
-    return [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [U_TRUNCATION]
+    return [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [u_min + U_TRUNCATION]
 
 
 @functools.lru_cache(maxsize=16)
 def bose_integral(u_min: float, quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
     """(value, error estimate) of the integral of bose_spectral_kernel over
-    [u_min, U_TRUNCATION] on bose_seed_points(u_min); memoised, as the oracle
+    [u_min, u_min + U_TRUNCATION] on bose_seed_points(u_min); memoised, as the oracle
     needs it at one cut-off and spec on most calls."""
     return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)

@@ -161,7 +161,7 @@ def test_integrand_never_sees_more_than_one_block(monkeypatch):
 
     gk15_batch(kernel, LOBES[:-1], LOBES[1:])
     assert sizes == [15 * 1024, 15 * 1024, 15 * 452]
-    # the oracle at dx/R_s = 1e4 seeds 2113 lobes, one batch at the parent commit
+    # the oracle at dx/R_s = 1e4 reads 128 lobes (64 integrated, 64 accelerated)
     monkeypatch.setattr(numeric, "bose_spectral_kernel", kernel)
     sizes.clear()
     geom = SuperpositionGeometry(1e4, 1.0)

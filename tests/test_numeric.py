@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,14 +151,18 @@ def test_cutoff_is_taken_at_the_geometry_radius():
 
 
 def test_cutoff_beyond_truncation_rejected():
-    with pytest.raises(ValueError):
-        overlap_numeric(geom_at(1.0), omega_at_u(41.0))
+    # the truncation moves with the cut-off, so a cut near u = 41.5 leaves a
+    # spectrum like any other; past u ~ 721.6 the cut integral leaves the
+    # normal range of a double
+    assert abs(overlap_numeric(geom_at(1.0), omega_at_u(41.0))) <= 1.0
+    with pytest.raises(ValueError, match="omega_min"):
+        overlap_numeric(geom_at(1.0), omega_at_u(722.0))
 
 
 def test_cutoff_rejected_on_every_rate_branch():
     for dx_over_rs in (0.0, 1.0, 100.0):  # alpha = 0, < 1 and > 1
         with pytest.raises(ValueError, match="cutoff"):
-            rate_numeric(geom_at(dx_over_rs), omega_at_u(41.0))
+            rate_numeric(geom_at(dx_over_rs), omega_at_u(722.0))
 
 
 def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
@@ -174,12 +179,13 @@ def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
 
 def _seed_points_loop(u_min, alpha):
     # The oracle's former loop-based seed grid, kept as a reference.
-    seeds = {u_min, U_TRUNCATION}
+    top = u_min + U_TRUNCATION
+    seeds = {u_min, top}
     for p in (0.5, 2.0, 8.0, 20.0):
-        if u_min < p < U_TRUNCATION:
+        if u_min < p < top:
             seeds.add(p)
     k = 1
-    while k * math.pi / alpha < U_TRUNCATION:
+    while k * math.pi / alpha < top:
         if k * math.pi / alpha > u_min:
             seeds.add(k * math.pi / alpha)
         k += 1
@@ -198,19 +204,21 @@ def test_seed_points_match_loop_reference(u_min):
 
 def _sinc_zeros_full(alpha, u_min):
     # The oracle's former construction: every zero in range, kept as a reference.
+    top = u_min + U_TRUNCATION
     k_first = int(math.floor(u_min * alpha / math.pi)) + 1
-    k_last = int(math.ceil(U_TRUNCATION * alpha / math.pi)) - 1
+    k_last = int(math.ceil(top * alpha / math.pi)) - 1
     zeros = np.pi * np.arange(k_first, k_last + 1) / alpha
-    zeros = zeros[(zeros > u_min) & (zeros < U_TRUNCATION)]
-    return np.concatenate(([u_min], zeros, [U_TRUNCATION]))
+    zeros = zeros[(zeros > u_min) & (zeros < top)]
+    return np.concatenate(([u_min], zeros, [top]))
 
 
 @pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 10.0, 30.0])
 def test_sinc_zeros_are_the_head_of_the_full_grid(u_min):
-    # alphas around the switch to acceleration (2112 lobes at alpha ~ 160),
+    # alphas around the switch to acceleration (128 lobes at alpha ~ 9.69),
     # and alphas that put a zero exactly on the cut-off or the truncation
-    alphas = [1e-3, 0.5, 1.0, math.pi / 4.0, 2.0, 100.0, 159.5, 159.9, 160.0, 160.3,
-              161.0, 1e3, 1e4, 2.0 * math.pi / U_TRUNCATION * 7.0]
+    alphas = [1e-3, 0.5, 1.0, math.pi / 4.0, 2.0, 9.6, 9.69, 9.7, 9.8, 100.0, 159.5, 160.0,
+              1e3, 1e4, 2.0 * math.pi / U_TRUNCATION * 7.0]
+    alphas += [math.pi * k / (u_min + U_TRUNCATION) for k in (1, 7, 128, 5000)]
     if u_min > 0.0:
         alphas += [math.pi * k / u_min for k in (1, 3, 40, 5000)]
     for alpha in alphas:
@@ -222,7 +230,7 @@ def test_sinc_zeros_are_the_head_of_the_full_grid(u_min):
 
 
 def test_wide_separation_oracle_memory():
-    # dx/R_s = 1e7 spans ~1e7 sinc lobes, of which the oracle reads 2113;
+    # dx/R_s = 1e7 spans ~1e7 sinc lobes, of which the oracle reads 129;
     # building every lobe edge peaked at ~180 MB under tracemalloc
     geom = geom_at(1e7)
     tracemalloc.start()
@@ -245,9 +253,43 @@ def test_separations_past_distinct_sinc_zeros_name_the_argument(dx_over_rs, u_mi
             oracle(geom_at(dx_over_rs), omega_at_u(u_min))
 
 
-@pytest.mark.parametrize("dx_over_rs, overlap", [
-    (1e40, 6.568477332581941e-79), (1e100, 6.568477332605802e-199), (1e300, 0.0)])
-def test_huge_separations_without_cutoff_keep_their_values(dx_over_rs, overlap):
-    # u_min = 0: the first lobe edges read are pi k / alpha with k <= 2113
-    assert rate_numeric(geom_at(dx_over_rs)) == pytest.approx(3121476.17761359, rel=1e-14)
-    assert overlap_numeric(geom_at(dx_over_rs)) == pytest.approx(overlap, rel=1e-12, abs=0.0)
+def _overlap_at_large_y(y: float) -> float:
+    # (1/zeta(3)) (1/(2 y^2) - 1/(12 y^4)), the large-y series of the
+    # closed form, at 40 digits; the next term is O(y^-6)
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        return float((1 / (2 * y ** 2) - 1 / (12 * y ** 4)) / mpmath.zeta(3))
+
+
+@pytest.mark.parametrize("dx_over_rs", [1e40, 1e100, 1e300])
+def test_huge_separations_without_cutoff_keep_their_values(dx_over_rs):
+    # u_min = 0: the first lobe edges read are pi k / alpha with k <= 129
+    geom = geom_at(dx_over_rs)
+    overlap = _overlap_at_large_y(geom.y)
+    assert rate_numeric(geom) == pytest.approx(3121476.17761359, rel=1e-14)
+    assert overlap_numeric(geom) == pytest.approx(overlap, rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 20.0, 30.0, 39.0])
+def test_accelerated_and_explicit_lobe_sums_agree(monkeypatch, u_min):
+    # the Euler tail after 64 lobes against 2048 lobes integrated one by
+    # one: with the truncation at u_min + 41.5 the continuation past it
+    # that the acceleration sums is negligible at every cut-off
+    omega_min = omega_at_u(u_min)
+    for dx_over_rs in (100.0, 130.0, 500.0, 3286.0, 3e4, 1e6):
+        geom = geom_at(dx_over_rs)
+        runs = []
+        for lobes in (64, 2048):
+            monkeypatch.setattr(numeric, "_EXPLICIT_LOBES", lobes)
+            runs.append((overlap_numeric_detail(geom, omega_min),
+                         rate_numeric_detail(geom, omega_min)))
+        for (a, a_err), (b, b_err) in zip(*runs):
+            assert abs(a - b) <= a_err + b_err, (dx_over_rs, a, b, a_err, b_err)
+
+
+@pytest.mark.parametrize("u_min, dx_over_rs, overlap", [
+    (20.0, 500.0, -1.7130253103339742e-5), (30.0, 3286.0, -4.4814979815699524e-7)])
+def test_cutoff_overlap_physical_values(u_min, dx_over_rs, overlap):
+    # 30-digit mpmath over [u_min, u_min + 80], split at the sinc zeros
+    value = overlap_numeric(geom_at(dx_over_rs), omega_at_u(u_min))
+    assert value == pytest.approx(overlap, rel=1e-10, abs=0.0)

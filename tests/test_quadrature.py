@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hawkdeco import QuadratureAccuracyError, QuadratureSpec, integrate_adaptive
-from hawkdeco.numeric import _seed_points, _sinc_zeros
+from hawkdeco.numeric import _seed_points
 from hawkdeco.quadrature import gk15_batch
 from hawkdeco.special import sinc
 from hawkdeco.spectrum import bose_seed_points, bose_spectral_kernel
@@ -71,8 +71,8 @@ REFERENCE_CASES = {
     "bose_u0": (bose_spectral_kernel, bose_seed_points(0.0)),
     "bose_u2": (bose_spectral_kernel, bose_seed_points(2.0)),
     "bose_sinc_0.215": (bose_sinc(0.215), _seed_points(0.0, 0.215)),
-    # the oracle's explicit head of 2048 sinc lobes
-    "bose_sinc_250": (bose_sinc(250.0), _sinc_zeros(250.0, 0.0)[0][:2049]),
+    # 2048 sinc lobes from u = 0, split at the zeros
+    "bose_sinc_250": (bose_sinc(250.0), np.pi * np.arange(2049.0) / 250.0),
 }
 
 

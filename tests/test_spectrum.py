@@ -107,10 +107,20 @@ def test_total_rate_cutoff_reduces():
 
 
 def test_total_rate_cutoff_beyond_truncation():
+    # the truncation moves with the cut-off: a cut at u = 41.5 leaves a
+    # spectrum like any other, and only past u ~ 721.6,
+    # where the cut integral leaves the normal range of a double, is the
+    # cut-off rejected
     spec = EmissionSpectrum(r_s=1.0)
-    too_far = EmissionSpectrum(r_s=1.0, omega_min=u_to_omega(spec, U_TRUNCATION))
-    with pytest.raises(ValueError):
-        total_emission_rate(too_far)
+    for u_min in (U_TRUNCATION, 100.0, 721.0):
+        cut = EmissionSpectrum(r_s=1.0, omega_min=u_to_omega(spec, u_min))
+        value, err = bose_integral(cut.u_min)
+        assert abs(value - bose_tail_series(cut.u_min)) <= err
+        assert total_emission_rate(cut) == cut.per_u_rate() * value
+    for u_min in (722.0, 1e290):
+        too_far = EmissionSpectrum(r_s=1.0, omega_min=u_to_omega(spec, u_min))
+        with pytest.raises(ValueError, match="omega_min"):
+            total_emission_rate(too_far)
 
 
 def test_frequency_pdf_normalization():
@@ -201,21 +211,24 @@ def test_lambda_total_near_the_overflow_edge():
 
 def test_bose_seed_points():
     assert bose_seed_points(0.0) == [0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION]
-    assert bose_seed_points(2.0) == [2.0, 8.0, 20.0, U_TRUNCATION]
-    assert bose_seed_points(30.0) == [30.0, U_TRUNCATION]
-    with pytest.raises(ValueError, match="cutoff"):
-        bose_seed_points(U_TRUNCATION - 1.0)
+    assert bose_seed_points(2.0) == [2.0, 8.0, 20.0, 2.0 + U_TRUNCATION]
+    assert bose_seed_points(30.0) == [30.0, 30.0 + U_TRUNCATION]
+    assert bose_seed_points(721.5) == [721.5, 721.5 + U_TRUNCATION]
+    for u_min in (721.6, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cutoff"):
+            bose_seed_points(u_min)
 
 
 def test_bose_integral_is_the_direct_quadrature():
     tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    for u_min in (0.0, 0.3, 2.0, 10.0):
+    for u_min in (0.0, 0.3, 2.0, 10.0, 39.0):
+        seeds = [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [u_min + U_TRUNCATION]
         for quad in (QuadratureSpec(), tight):
-            direct = integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)
+            direct = integrate_adaptive(bose_spectral_kernel, seeds, quad)
             assert bose_integral(u_min, quad) == direct
     assert bose_integral(0.0) == bose_integral(0.0, QuadratureSpec())
     with pytest.raises(ValueError, match="beyond the resolvable spectrum"):
-        bose_integral(U_TRUNCATION)
+        bose_integral(722.0)
 
 
 def test_bose_integral_cache_entries_and_bound():
