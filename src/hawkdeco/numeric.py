@@ -14,12 +14,17 @@ The overlap integrand in u = 4 pi omega R_s / c is
 
 integrated over [u_min, u_min + 41.5] and divided by the same integral
 without the sinc (spectrum.bose_integral, cached, so most calls integrate
-only the numerator).  For alpha > 1 the integrand oscillates faster than
+only the numerator), both to abs_tol scaled to the cut integral's size
+(spectrum.cut_spec).  For alpha <= 1 the first pass runs on the kernel's
+knees and the sinc zeros with every gap halved, the bisection that a pass on
+the bare seeds mostly needs.  For alpha > 1 the integrand oscillates faster than
 blind refinement resolves economically, so the domain is split at the sinc
 zeros k pi / alpha, where the per-lobe integrals alternate in sign.  Past
 128 lobes (alpha > 9.7) the first 64 are integrated and the rest of the
 series is summed from the next 64 by repeated averaging of their partial
 sums (Euler acceleration), geometrically convergent for this smooth tail.
+The 128 lobes are one GK15 batch, and the first 64 are refined only if they
+miss the target, so a call usually evaluates the integrand once.
 
 The cancellation hazard in 1 - overlap at small alpha is kept out of the
 rate by integrating (u^2/(e^u - 1)) (1 - sinc(alpha u)) directly with a
@@ -33,11 +38,11 @@ import math
 import numpy as np
 
 from .blackhole import _count
-from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive
+from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive, refine
 from .rates import SuperpositionGeometry
 from .special import _trigamma_domain, one_minus_sinc, sinc
 from .spectrum import (EmissionSpectrum, U_TRUNCATION, bose_integral, bose_seed_points,
-                       bose_spectral_kernel)
+                       bose_spectral_kernel, cut_spec)
 
 # Past this many sinc lobes the remaining alternating series is
 # accelerated instead of integrated lobe by lobe.
@@ -129,18 +134,29 @@ def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> t
     if n_lobes <= _EXPLICIT_LOBES + _ACCEL_LOBES:
         return integrate_adaptive(f, points, quad)
 
-    head, head_err = integrate_adaptive(f, points[:_EXPLICIT_LOBES + 1], quad)
-    lobes, lobe_errs = gk15_batch(f, points[_EXPLICIT_LOBES:-1], points[_EXPLICIT_LOBES + 1:])
-    tail, tail_err = _accelerated_tail(lobes)
+    # One batch for every lobe read: the head's first pass and the accelerated
+    # lobes.  The head is refined from there only if it misses the target.
+    a, b = points[:-1], points[1:]
+    values, errors = gk15_batch(f, a, b)
+    n = _EXPLICIT_LOBES
+    head, head_err = refine(f, a[:n], b[:n], values[:n], errors[:n], quad)
+    tail, tail_err = _accelerated_tail(values[n:])
     # The acceleration implicitly sums the series on past u_min + U_TRUNCATION;
     # that continuation is bounded by the Bose tail there, at most 8.6e-16 of
     # the denominator at every cut-off, as the truncation moves with the cut-off.
-    return head + tail, head_err + tail_err + float(np.sum(lobe_errs))
+    return head + tail, head_err + tail_err + float(errors[n:].sum())
 
 
 def _seed_points(u_min: float, alpha: float) -> list[float]:
     # the kernel's breakpoints plus the sinc zeros in range, for 0 < alpha <= 1
     return sorted(set(bose_seed_points(u_min)) | set(_sinc_zeros(alpha, u_min)[0].tolist()))
+
+
+def _halved_seed_points(u_min: float, alpha: float) -> np.ndarray:
+    # _seed_points and each gap's midpoint: a first pass on the bare seeds
+    # mostly misses the target and then bisects every gap, so start here
+    seeds = np.array(_seed_points(u_min, alpha))
+    return np.concatenate((seeds, 0.5 * (seeds[:-1] + seeds[1:])))  # integrate_adaptive sorts
 
 
 def overlap_numeric_detail(
@@ -155,10 +171,11 @@ def overlap_numeric_detail(
     alpha = geom.y
     if alpha == 0.0:
         return 1.0, 0.0
+    quad = cut_spec(u_min, quad)
     if alpha <= 1.0:
         num, num_err = integrate_adaptive(
             lambda u: bose_spectral_kernel(u) * sinc(alpha * u),
-            _seed_points(u_min, alpha), quad)
+            _halved_seed_points(u_min, alpha), quad)
     else:
         num, num_err = _oscillatory_integral(alpha, u_min, quad)
     value = num / denom
@@ -189,14 +206,14 @@ def rate_numeric_detail(
     alpha = geom.y
     if alpha == 0.0:
         return 0.0, 0.0
-    if alpha < 1.0:
+    if alpha <= 1.0:
         # positive integrand, relative accuracy survives small alpha
         comp, comp_err = integrate_adaptive(
             lambda u: bose_spectral_kernel(u) * one_minus_sinc(alpha * u),
-            _seed_points(u_min, alpha), quad)
+            _halved_seed_points(u_min, alpha), cut_spec(u_min, quad))
     else:
         denom, denom_err = bose_integral(u_min, quad)
-        num, num_err = _oscillatory_integral(alpha, u_min, quad)
+        num, num_err = _oscillatory_integral(alpha, u_min, cut_spec(u_min, quad))
         comp = denom - num
         comp_err = num_err + denom_err
     per_u_rate = spectrum.per_u_rate()

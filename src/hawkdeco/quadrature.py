@@ -14,7 +14,10 @@ threshold (past it each one is a fresh, page-faulted mmap); no bit moves.
 As in QUADPACK's qag, the intervals form an error-ordered list rather
 than a heap: four numpy arrays (left edge, right edge, value, error) in
 insertion order, from which each pass bisects the 32 intervals with the
-largest estimates in one batch.  The bookkeeping is
+largest estimates in one batch.  A first pass that meets the target,
+the common case for seeds that already resolve the integrand, is summed
+as it stands and skips that bookkeeping; ``refine`` is the loop alone,
+for a caller that holds a first pass from a larger batch.  The bookkeeping is
 deterministic (equal estimates go to the older interval, and the final
 sum runs sequentially left to right across the intervals), so
 identical inputs give bit-identical results on one platform.  Across
@@ -86,16 +89,14 @@ def gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     b = np.asarray(b, dtype=float)
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vk, vg = np.empty_like(half), np.empty_like(half)
+    y = np.empty((len(half), len(_NODES)))
     for lo in range(0, len(half), _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        nodes = center[blk, None] + half[blk, None] * _NODES
-        y = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("integrand returned a non-finite value")
-        vk[blk] = half[blk] * (y @ _WGK)
-        vg[blk] = half[blk] * (y @ _WG)
-    return vk, np.abs(vk - vg)
+        nodes = center[lo:lo + _BLOCK, None] + half[lo:lo + _BLOCK, None] * _NODES
+        y[lo:lo + _BLOCK] = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    if not np.isfinite(y).all():
+        raise ValueError("integrand returned a non-finite value")
+    vk = half * (y @ _WGK)
+    return vk, np.abs(vk - half * (y @ _WG))
 
 
 def integrate_adaptive(
@@ -109,21 +110,28 @@ def integrate_adaptive(
     known structure (kernel knees, oscillation zeros) on interval edges
     instead of making the refinement loop rediscover it.
     """
-    pts = np.sort(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(pts)):
+    pts = np.array(points, dtype=float)
+    pts.sort()
+    if not np.isfinite(pts).all():
         raise ValueError("breakpoints must be finite")
-    pts = np.append(pts[:1], pts[1:][pts[1:] > pts[:-1]])
+    pts = np.concatenate((pts[:1], pts[1:][pts[1:] > pts[:-1]]))
     if len(pts) < 2:
         raise ValueError("need at least two breakpoints")
+    a, b = pts[:-1], pts[1:]
+    return refine(f, a, b, *gk15_batch(f, a, b), spec)
 
+
+def refine(f: Callable, a: np.ndarray, b: np.ndarray, val: np.ndarray, err: np.ndarray,
+           spec: QuadratureSpec) -> tuple[float, float]:
+    """The adaptive loop of integrate_adaptive from its first pass: the
+    ascending, disjoint intervals [a_i, b_i] and their gk15_batch values and
+    error estimates.  Returns (value, error_estimate)."""
     # Intervals stay in insertion order (survivors, then children left/right
     # per parent), so a stable sort on -err gives ties to the older interval.
-    a, b = pts[:-1], pts[1:]
-    val, err = gk15_batch(f, a, b)
     splits = 0
     while True:
-        total_err = float(np.sum(err))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(float(np.sum(val))))
+        total_err = float(err.sum())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(float(val.sum())))
         if total_err <= tol:
             break
         if splits >= spec.max_subdivisions:
@@ -144,6 +152,8 @@ def integrate_adaptive(
         val, err = np.append(val[keep], nv), np.append(err[keep], ne)
         splits += len(worst)
 
-    # Deterministic final sum: sequential, left to right across intervals
-    # (equal left edges, from an interval too narrow to bisect, by value).
-    return float(np.cumsum(val[np.lexsort((val, a))])[-1]), total_err
+    # Deterministic final sum: sequential, left to right across intervals.
+    # A converged first pass is already in that order; after splits, order by
+    # left edge (equal left edges, from an interval too narrow to bisect, by value).
+    order = np.lexsort((val, a)) if splits else slice(None)
+    return float(val[order].cumsum()[-1]), total_err

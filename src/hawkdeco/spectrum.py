@@ -21,12 +21,14 @@ channels and leaves the normalized frequency distribution unchanged.
 kernel's knees and the cut-off limit) serve the oracle and the checks too.
 ``bose_integral`` is the one quadrature of the cut spectrum, cached per
 cut-off and spec: the cut total rate, the oracle's denominator and the
-saturation check all read it.
+saturation check all read it.  ``cut_spec`` scales a spec's absolute
+target to the size of the cut integral, for it and the oracle's numerators.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import math
 import sys
@@ -157,8 +159,20 @@ def bose_seed_points(u_min: float) -> list[float]:
 
 
 @functools.lru_cache(maxsize=16)
+def cut_spec(u_min: float, quad: QuadratureSpec) -> QuadratureSpec:
+    """quad with abs_tol scaled by e^-u_min (u_min^2 + 2 u_min + 2) / 2: the
+    integral of u^2 e^-u above u_min over its value above 0, about the cut
+    integral's size, and exactly 1 at u_min = 0.  At a high cut-off the integral
+    is far below abs_tol, so unscaled the first panels would meet the absolute
+    target and cap the result at a few digits."""
+    size = math.exp(math.log((u_min * u_min + 2.0 * u_min + 2.0) / 2.0) - u_min)
+    # an abs_tol that underflows would be rejected; the smallest double stands in
+    return dataclasses.replace(quad, abs_tol=max(quad.abs_tol * size, math.ulp(0.0)))
+
+
+@functools.lru_cache(maxsize=16)
 def bose_integral(u_min: float, quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
     """(value, error estimate) of the integral of bose_spectral_kernel over
     [u_min, u_min + U_TRUNCATION] on bose_seed_points(u_min); memoised, as the oracle
     needs it at one cut-off and spec on most calls."""
-    return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), quad)
+    return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), cut_spec(u_min, quad))

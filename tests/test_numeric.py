@@ -23,7 +23,9 @@ from hawkdeco import (
 )
 from hawkdeco import numeric
 from hawkdeco.numeric import overlap_numeric_detail, rate_numeric_detail
-from hawkdeco.spectrum import U_TRUNCATION
+from hawkdeco.quadrature import integrate_adaptive
+from hawkdeco.special import sinc
+from hawkdeco.spectrum import U_TRUNCATION, bose_spectral_kernel
 
 M_EARTH = 5.97e24
 
@@ -166,15 +168,62 @@ def test_cutoff_rejected_on_every_rate_branch():
 
 
 def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
-    value = rate_numeric(geom_at(1.0))
+    # alpha = 1 exactly sits on the seeded side, as in overlap_numeric
+    assert geom_at(4.0 * math.pi).y == 1.0
+    values = [rate_numeric(geom_at(x)) for x in (1.0, 4.0 * math.pi)]
 
     def fail(*args):
-        raise AssertionError("denominator integrated on the alpha < 1 branch")
+        raise AssertionError("denominator integrated on the alpha <= 1 branch")
 
     monkeypatch.setattr(numeric, "bose_integral", fail)
-    assert rate_numeric(geom_at(1.0)) == value
+    assert [rate_numeric(geom_at(x)) for x in (1.0, 4.0 * math.pi)] == values
     with pytest.raises(AssertionError):
         rate_numeric(geom_at(100.0))
+
+
+def _count_integrand_calls(monkeypatch):
+    # every oracle integrand is bose_spectral_kernel times a sinc weight,
+    # called once per gk15_batch block
+    calls = [0]
+    kernel = numeric.bose_spectral_kernel
+
+    def counted(u):
+        calls[0] += 1
+        return kernel(u)
+
+    monkeypatch.setattr(numeric, "bose_spectral_kernel", counted)
+    return calls
+
+
+def test_one_integrand_call_per_oracle_call(monkeypatch):
+    # alpha <= 1 starts from the halved seeds, and past 128 lobes one batch
+    # holds the head's first pass and the accelerated lobes; the denominator
+    # is cached, so each call integrates once
+    overlap_numeric(geom_at(1.0))
+    calls = _count_integrand_calls(monkeypatch)
+    alphas = [1e-6, 1e-3, 1e-2] + np.linspace(0.0, 1.0, 201)[1:].tolist()
+    for dx_over_rs in [4.0 * math.pi * a for a in alphas] + [1e3, 1e4]:
+        for oracle in (rate_numeric, overlap_numeric):
+            calls[0] = 0
+            oracle(geom_at(dx_over_rs))
+            assert calls[0] == 1, (oracle.__name__, dx_over_rs)
+
+
+@pytest.mark.parametrize("quad, refined", [
+    (QuadratureSpec(), False), (QuadratureSpec(rel_tol=1e-12, abs_tol=1e-20), True)],
+    ids=["default", "tight"])
+@pytest.mark.parametrize("alpha", [130.0, 1e3, 1e5])
+def test_fused_head_is_the_adaptive_head(monkeypatch, alpha, quad, refined):
+    # the head from the shared 128-lobe batch is, bit for bit, the adaptive
+    # integral of its 64 lobes; under the tight spec it misses the target on
+    # the first pass and is refined from there
+    points, _ = numeric._sinc_zeros(alpha, 0.0)
+    head = integrate_adaptive(lambda u: bose_spectral_kernel(u) * sinc(alpha * u),
+                              points[:numeric._EXPLICIT_LOBES + 1], quad)
+    monkeypatch.setattr(numeric, "_accelerated_tail", lambda lobes: (0.0, 0.0))
+    calls = _count_integrand_calls(monkeypatch)
+    assert numeric._oscillatory_integral(alpha, 0.0, quad)[0] == head[0]
+    assert (calls[0] > 1) == refined
 
 
 def _seed_points_loop(u_min, alpha):

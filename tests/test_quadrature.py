@@ -71,7 +71,7 @@ REFERENCE_CASES = {
     "bose_u0": (bose_spectral_kernel, bose_seed_points(0.0)),
     "bose_u2": (bose_spectral_kernel, bose_seed_points(2.0)),
     "bose_sinc_0.215": (bose_sinc(0.215), _seed_points(0.0, 0.215)),
-    # 2048 sinc lobes from u = 0, split at the zeros
+    # 2048 sinc lobes from u = 0, split at the zeros; meets the target on its first pass
     "bose_sinc_250": (bose_sinc(250.0), np.pi * np.arange(2049.0) / 250.0),
 }
 
@@ -158,6 +158,23 @@ def test_split_order_matches_heap_reference(case):
     ref_value, ref_err = heap_integrate_adaptive(f, seeds)
     assert value == ref_value
     assert err == pytest.approx(ref_err, rel=1e-11, abs=0.0)
+
+
+def test_converged_first_pass_is_the_sequential_sum():
+    # a first pass that meets the target is summed left to right as it
+    # stands: one gk15_batch (two integrand blocks of 1024 intervals), no split
+    f, seeds = REFERENCE_CASES["bose_sinc_250"]
+    blocks = []
+
+    def counted(x):
+        blocks.append(len(x))
+        return f(x)
+
+    value, err = integrate_adaptive(counted, seeds)
+    vals, errs = gk15_batch(f, seeds[:-1], seeds[1:])
+    assert blocks == [15 * 1024, 15 * 1024]
+    assert value == float(np.cumsum(vals)[-1])
+    assert err == float(np.sum(errs))
 
 
 def test_budget_exhaustion_matches_heap_reference():

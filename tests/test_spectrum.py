@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hawkdeco import EmissionSpectrum, QuadratureSpec, frequency_pdf, rate_density, total_emission_rate
 from hawkdeco.quadrature import integrate_adaptive
-from hawkdeco.spectrum import U_TRUNCATION, bose_integral, bose_seed_points, bose_spectral_kernel
+from hawkdeco.spectrum import (U_TRUNCATION, bose_integral, bose_seed_points, bose_spectral_kernel,
+                               cut_spec)
 
 ZETA3 = 1.2020569031595942854
 R_S_MOON = 1.0916e-4  # horizon radius of a 7.35e22 kg hole, metres
@@ -224,11 +226,34 @@ def test_bose_integral_is_the_direct_quadrature():
     for u_min in (0.0, 0.3, 2.0, 10.0, 39.0):
         seeds = [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [u_min + U_TRUNCATION]
         for quad in (QuadratureSpec(), tight):
-            direct = integrate_adaptive(bose_spectral_kernel, seeds, quad)
+            direct = integrate_adaptive(bose_spectral_kernel, seeds, cut_spec(u_min, quad))
             assert bose_integral(u_min, quad) == direct
+        # the absolute target is scaled by exactly 1 without a cut-off
+        assert (cut_spec(u_min, tight) == tight) == (u_min == 0.0)
     assert bose_integral(0.0) == bose_integral(0.0, QuadratureSpec())
     with pytest.raises(ValueError, match="beyond the resolvable spectrum"):
         bose_integral(722.0)
+
+
+def _bose_integral_mp(u_min: float):
+    # sum over n of the integral of u^2 e^(-n u) over [u_min, u_min + U_TRUNCATION]
+    # at 30 digits; mpmath.quad itself is about 2.6e-11 off at u_min = 100
+    with mpmath.workdps(30):
+        def upper(a):
+            return sum(mpmath.exp(-n * a) * (a * a / n + 2 * a / n ** 2 + mpmath.mpf(2) / n ** 3)
+                       for n in range(1, 6))
+        a = mpmath.mpf(u_min)
+        return upper(a) - upper(a + mpmath.mpf(U_TRUNCATION))
+
+
+@pytest.mark.parametrize("u_min", [30.0, 39.0, 100.0, 700.0])
+def test_cut_bose_integral_keeps_rel_tol(u_min):
+    # the cut integral is at or far below the default abs_tol = 1e-14 here;
+    # with the absolute target scaled to its size it still meets rel_tol
+    value, err = bose_integral(u_min)
+    exact = _bose_integral_mp(u_min)
+    assert float(abs(value - exact) / exact) <= 1e-10
+    assert abs(value - float(exact)) <= err
 
 
 def test_bose_integral_cache_entries_and_bound():
