@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, sentinels, determinism, verify gate."""
 
+import dataclasses
 import json
 import math
 import os
@@ -398,10 +399,13 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
-def reference_emit(args, header, rows, meta):
-    """Reference writer: the per-cell loop the table-at-a-time writer replaced.
-    Writes to stdout only."""
+def reference_emit(args, header, columns, meta):
+    """Reference writer: the per-cell loop the column-at-a-time writer replaced.
+    Takes the writer's columns (a None column is empty cells) and writes to
+    stdout only."""
     meta = {**meta, "constants": "CODATA2018"}
+    n = len(next(c for c in columns if c is not None))
+    rows = list(zip(*([None] * n if c is None else np.asarray(c).tolist() for c in columns)))
 
     def json_value(x):
         if isinstance(x, float):
@@ -442,6 +446,9 @@ def reference_emit(args, header, rows, meta):
      "--evaporate"),
     ("sweep", "--mass", "7.342e22", "--dx-over-rs", "1", "1e4", "2000", "--variant",
      "printed_eq8", "--species", "3"),
+    ("sweep", "--mass", "1", "--dx-over-rs", "1", "1.7976931348623157e308", "3"),  # e+308, e-307
+    ("evolve", "--mass", "7.35e22", "--dx", "0.01", "--t-max", "1e-7", "--steps", "16"),  # 0.0
+    ("sweep", "--mass", "7.342e22", "--dx-over-rs", "1e-3", "1e4", "10000"),
 ])
 def test_table_writer_matches_the_per_cell_reference(capsys, monkeypatch, argv, fmt):
     argv = argv + ("--format", fmt)
@@ -459,6 +466,41 @@ def test_json_writer_rejects_nan_as_json_does():
     with pytest.raises(ValueError) as old:
         json.dumps([1.0, math.nan], allow_nan=False)
     assert str(new.value) == str(old.value)
+
+
+def _nan_at(values, k):
+    values = np.array(values, dtype=float)
+    values[k] = math.nan
+    return values
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--mass", "7.35e22", "--dx", "0.01", "--t-max", "1.7e-10", "--steps", "4"),
+    ("sweep", "--mass", "7.35e22", "--dx-over-rs", "1e-3", "1e4", "9"),
+])
+def test_a_nan_cell_is_a_domain_error_in_both_formats(capsys, monkeypatch, tmp_path, argv, fmt):
+    """The CLI never prints nan with exit code 0, and --out is not opened."""
+    trace_of = cli.evolve_coherence
+    rates_of = cli.canonical_rate_array
+
+    def evolve_with_nan(*args, **kwargs):
+        trace = trace_of(*args, **kwargs)
+        return dataclasses.replace(trace, coherence=_nan_at(trace.coherence, 3))
+
+    def rates_with_nan(*args, **kwargs):
+        rate, overlap = rates_of(*args, **kwargs)
+        return _nan_at(rate, 4), overlap
+
+    monkeypatch.setattr(cli, "evolve_coherence", evolve_with_nan)
+    monkeypatch.setattr(cli, "canonical_rate_array", rates_with_nan)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "nan" not in out
+    out_file = tmp_path / "table.txt"
+    assert run(capsys, *argv, "--format", fmt, "--out", str(out_file))[0] == 2
+    assert not out_file.exists()
 
 
 def sweep_grid(start, stop, points, spacing):
