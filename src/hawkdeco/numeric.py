@@ -12,19 +12,22 @@ The overlap integrand in u = 4 pi omega R_s / c is
 
     (u^2 / (e^u - 1)) sinc(alpha u),   alpha = dx / (4 pi R_s),
 
-integrated over [u_min, u_min + 41.5] and divided by the same integral
+integrated over [u_min, u_min + 50] and divided by the same integral
 without the sinc (spectrum.bose_integral, cached, so most calls integrate
 only the numerator), both to abs_tol scaled to the cut integral's size
-(spectrum.cut_spec).  For alpha <= 1 the first pass runs on the kernel's
-knees and the sinc zeros with every gap halved, the bisection that a pass on
-the bare seeds mostly needs.  For alpha > 1 the integrand oscillates faster than
-blind refinement resolves economically, so the domain is split at the sinc
-zeros k pi / alpha, where the per-lobe integrals alternate in sign.  Past
-128 lobes (alpha > 9.7) the first 64 are integrated and the rest of the
-series is summed from the next 64 by repeated averaging of their partial
-sums (Euler acceleration), geometrically convergent for this smooth tail.
-The 128 lobes are one GK15 batch, and the first 64 are refined only if they
-miss the target, so a call usually evaluates the integrand once.
+(spectrum.cut_spec).  What does not depend on alpha is tabulated once per
+cut-off, lazily, so that a call evaluates one transcendental factor on the
+nodes of one first pass: for alpha <= 1 the sinc (or 1 - sinc) on a fixed
+panel grid that holds the kernel (_panel_table); for alpha > 1 the kernel on
+the lobes between the sinc zeros, taken in c = alpha u / pi, where lobe k is
+[k, k + 1] and the sinc on a whole lobe comes from a table of sin(pi t)
+(_lobe_table), free of the phase rounding of sin(alpha u).  Past 128 lobes
+(alpha > 8.04) the first 64 are integrated and the rest of the series is
+summed from the next 64 by repeated averaging of their partial sums (Euler
+acceleration), geometrically convergent for this smooth tail.  Each panel's
+Kronrod and Gauss values are summed per row (quadrature.gk15_sums), so their
+bits do not depend on the batch layout or the BLAS kernel; a first pass that
+misses the target (past 128 lobes, of the first 64) is refined from there.
 
 The cancellation hazard in 1 - overlap at small alpha is kept out of the
 rate by integrating (u^2/(e^u - 1)) (1 - sinc(alpha u)) directly with a
@@ -33,17 +36,25 @@ series-stabilized 1 - sinc kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .blackhole import _count
-from .quadrature import QuadratureSpec, gk15_batch, integrate_adaptive, refine
+from .quadrature import QuadratureSpec, gk15_panels, gk15_sums, refine
 from .rates import SuperpositionGeometry
 from .special import _trigamma_domain, one_minus_sinc, sinc
-from .spectrum import (EmissionSpectrum, U_TRUNCATION, bose_integral, bose_seed_points,
-                       bose_spectral_kernel, cut_spec)
+from .spectrum import (BOSE_KNEES, EmissionSpectrum, U_TRUNCATION, bose_integral,
+                       bose_seed_points, bose_spectral_kernel, cut_spec)
 
+# Panel edges for alpha <= 1 as offsets from the cut-off, besides the
+# kernel's knees above it and the truncation: 17 panels at u_min = 0, on
+# which the first pass meets even the fixture's tight spec (rel_tol 1e-12,
+# abs_tol 1e-16) at every alpha <= 1, its error estimate at least 100 times
+# below the target.
+_PANEL_OFFSETS = (0.0, 0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 10.0, 12.0, 14.0, 17.0, 20.0, 24.0,
+                  28.0, 33.0, 38.0, 44.0)
 # Past this many sinc lobes the remaining alternating series is
 # accelerated instead of integrated lobe by lobe.
 _EXPLICIT_LOBES = 64
@@ -87,30 +98,55 @@ def trigamma_series_error_bound(z: complex, terms: int = 10000) -> float:
     return 2.0 / (6.0 * w ** 3)
 
 
-def _sinc_zeros(alpha: float, u_min: float) -> tuple[np.ndarray, int]:
-    """The edges of the first _EXPLICIT_LOBES + _ACCEL_LOBES sinc lobes on
-    [u_min, top], top = u_min + U_TRUNCATION (u_min, the zeros pi k / alpha
-    strictly between, then top), and the number of lobes on the whole
-    range, about 13.2 alpha.  Only the edges that the oracle reads are built."""
-    top = u_min + U_TRUNCATION
-    k_top = top * alpha / math.pi
-    k_first = int(math.floor(u_min * alpha / math.pi)) + 1 if k_top < math.inf else 2 ** 53
-    # past k = 2^53 (or an infinite last zero) adjacent edges are no longer distinct doubles
-    if k_first + _EXPLICIT_LOBES + _ACCEL_LOBES >= 2 ** 53:
+@functools.lru_cache(maxsize=16)
+def _panel_table(u_min: float) -> tuple:
+    """The alpha <= 1 first pass at the cut-off u_min, for every alpha: the
+    panel edges (u_min + _PANEL_OFFSETS, the kernel's knees and the
+    truncation), the GK15 nodes and half-widths, and the kernel on the
+    nodes.  Memoised like bose_integral."""
+    edges = np.array(sorted(set(bose_seed_points(u_min)) | {u_min + d for d in _PANEL_OFFSETS}))
+    a, b = edges[:-1], edges[1:]
+    nodes, half = gk15_panels(a, b)
+    return a, b, nodes, half, bose_spectral_kernel(nodes)
+
+
+def _panel_integral(weight, u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
+    """integral of bose * weight(u) over [u_min, u_min + U_TRUNCATION], for
+    a weight that varies on the scale of the panels (sinc(alpha u), alpha <= 1):
+    one pass over the cached table, refined only if it misses the target."""
+    a, b, nodes, half, kernel = _panel_table(u_min)
+    return refine(lambda u: bose_spectral_kernel(u) * weight(u), a, b,
+                  *gk15_sums(kernel * weight(nodes), half), quad)
+
+
+@functools.lru_cache(maxsize=16)
+def _lobe_table(k0: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lobes [k, k + 1] of sin(pi c), k = k0 .. k0 + n - 1: their left
+    edges, their GK15 nodes, and sin(pi c) / (pi c) on the nodes, the sine
+    (-1)^k sin(pi t) from the 15 values of sin(pi t) on the nodes t of
+    [0, 1].  Memoised: without a cut-off every alpha > 1 reads k0 = 0."""
+    ks = k0 + np.arange(n, dtype=float)
+    nodes, _ = gk15_panels(ks, ks + 1.0)
+    t = gk15_panels(np.zeros(1), np.ones(1))[0][0]
+    # taken on the nearer half of the lobe, the sine keeps its relative
+    # accuracy next to the zeros
+    sin_t = np.sin(np.pi * np.minimum(t, 1.0 - t))
+    return ks, nodes, np.multiply.outer(1.0 - 2.0 * np.fmod(ks, 2.0), sin_t) / (np.pi * nodes)
+
+
+def _lobes(alpha: float, u_min: float) -> tuple[float, float, float, int]:
+    """(c_min, k0, c_top, n): in c = alpha u / pi, where lobe k of sinc(alpha u)
+    is [k, k + 1], the cut-off c_min in the first lobe k0, the truncation
+    c_top, and the number of lobes from c_min to c_top, about 15.9 alpha."""
+    c_min = u_min * alpha / math.pi
+    c_top = (u_min + U_TRUNCATION) * alpha / math.pi
+    k0 = math.floor(c_min) if c_top < math.inf else 2 ** 53
+    # past k = 2^53 (or an infinite last edge) adjacent integers are no longer distinct doubles
+    if k0 + _EXPLICIT_LOBES + _ACCEL_LOBES >= 2 ** 53:
         raise ValueError(f"delta_x / r_s={4.0 * math.pi * alpha:g} puts the sinc zeros above "
                          f"u={u_min:g} closer together than adjacent doubles")
-    k_last = int(math.ceil(k_top)) - 1
-    # a rounded quotient may put the first or the last zero on or past its bound
-    if k_first <= k_last and math.pi * k_first / alpha <= u_min:
-        k_first += 1
-    if k_first <= k_last and math.pi * k_last / alpha >= top:
-        k_last -= 1
-    n_lobes = k_last - k_first + 2
-    whole = n_lobes <= _EXPLICIT_LOBES + _ACCEL_LOBES
-    read = n_lobes - 1 if whole else _EXPLICIT_LOBES + _ACCEL_LOBES
-    # k in floats: exact below 2^53, and no int64 overflow above
-    zeros = np.pi * (float(k_first) + np.arange(read, dtype=float)) / alpha
-    return np.concatenate(([u_min], zeros, [top] if whole else [])), n_lobes
+    # k in floats: exact below 2^53
+    return c_min, float(k0), c_top, math.ceil(c_top) - k0
 
 
 def _accelerated_tail(lobe_values: np.ndarray) -> tuple[float, float]:
@@ -125,38 +161,47 @@ def _accelerated_tail(lobe_values: np.ndarray) -> tuple[float, float]:
 
 def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
     """integral of bose * sinc(alpha u) over [u_min, u_min + U_TRUNCATION]
-    for alpha > 1, split at the sinc zeros.  Returns (value, error estimate)."""
+    for alpha > 1, lobe by lobe in c = alpha u / pi, where sinc(alpha u) is
+    sinc(pi c) and du = (pi / alpha) dc.  Returns (value, error estimate)."""
+    scale = math.pi / alpha
 
-    def f(u):
-        return bose_spectral_kernel(u) * sinc(alpha * u)
+    def f(c):
+        return scale * bose_spectral_kernel(c * scale) * sinc(np.pi * c)
 
-    points, n_lobes = _sinc_zeros(alpha, u_min)
-    if n_lobes <= _EXPLICIT_LOBES + _ACCEL_LOBES:
-        return integrate_adaptive(f, points, quad)
+    c_min, k0, c_top, n_lobes = _lobes(alpha, u_min)
+    accelerate = n_lobes > _EXPLICIT_LOBES + _ACCEL_LOBES
+    # The panels: the first lobe, split at the kernel's knees in it, whole
+    # lobes from the table, and the last lobe, cut at the truncation, unless
+    # the series is accelerated before it.  The pieces of lobes take the
+    # sinc on their own nodes.
+    first = [c_min, *(c for c in (p / scale for p in BOSE_KNEES if p > u_min) if c < k0 + 1.0),
+             k0 + 1.0]
+    pieces = [] if first == [k0, k0 + 1.0] else list(zip(first[:-1], first[1:]))
+    n_first = len(pieces)
+    if not accelerate:
+        pieces.append((k0 + n_lobes - 1.0, c_top))
+    ks, nodes, sincs = _lobe_table(k0, _EXPLICIT_LOBES + _ACCEL_LOBES)
+    stop = _EXPLICIT_LOBES + _ACCEL_LOBES if accelerate else n_lobes - 1
+    whole = slice(1 if n_first else 0, stop)
+    a, b, nodes, sincs = ks[whole], ks[whole] + 1.0, nodes[whole], sincs[whole]
+    if pieces:
+        pa, pb = np.array(pieces).T
+        pn = gk15_panels(pa, pb)[0]
+        x = np.pi * pn
+        a, b, nodes, sincs = (np.concatenate((p[:n_first], w, p[n_first:]))
+                              for p, w in ((pa, a), (pb, b), (pn, nodes), (np.sin(x) / x, sincs)))
+    y = bose_spectral_kernel(nodes * scale) * sincs
+    values, errors = gk15_sums(y, (0.5 * scale) * (b - a))
 
-    # One batch for every lobe read: the head's first pass and the accelerated
-    # lobes.  The head is refined from there only if it misses the target.
-    a, b = points[:-1], points[1:]
-    values, errors = gk15_batch(f, a, b)
-    n = _EXPLICIT_LOBES
-    head, head_err = refine(f, a[:n], b[:n], values[:n], errors[:n], quad)
-    tail, tail_err = _accelerated_tail(values[n:])
+    n_head = len(a) - _ACCEL_LOBES if accelerate else len(a)
+    head, head_err = refine(f, a[:n_head], b[:n_head], values[:n_head], errors[:n_head], quad)
+    if not accelerate:
+        return head, head_err
+    tail, tail_err = _accelerated_tail(values[n_head:])
     # The acceleration implicitly sums the series on past u_min + U_TRUNCATION;
-    # that continuation is bounded by the Bose tail there, at most 8.6e-16 of
+    # that continuation is bounded by the Bose tail there, at most 2.6e-19 of
     # the denominator at every cut-off, as the truncation moves with the cut-off.
-    return head + tail, head_err + tail_err + float(errors[n:].sum())
-
-
-def _seed_points(u_min: float, alpha: float) -> list[float]:
-    # the kernel's breakpoints plus the sinc zeros in range, for 0 < alpha <= 1
-    return sorted(set(bose_seed_points(u_min)) | set(_sinc_zeros(alpha, u_min)[0].tolist()))
-
-
-def _halved_seed_points(u_min: float, alpha: float) -> np.ndarray:
-    # _seed_points and each gap's midpoint: a first pass on the bare seeds
-    # mostly misses the target and then bisects every gap, so start here
-    seeds = np.array(_seed_points(u_min, alpha))
-    return np.concatenate((seeds, 0.5 * (seeds[:-1] + seeds[1:])))  # integrate_adaptive sorts
+    return head + tail, head_err + tail_err + float(errors[n_head:].sum())
 
 
 def overlap_numeric_detail(
@@ -173,9 +218,7 @@ def overlap_numeric_detail(
         return 1.0, 0.0
     quad = cut_spec(u_min, quad)
     if alpha <= 1.0:
-        num, num_err = integrate_adaptive(
-            lambda u: bose_spectral_kernel(u) * sinc(alpha * u),
-            _halved_seed_points(u_min, alpha), quad)
+        num, num_err = _panel_integral(lambda u: sinc(alpha * u), u_min, quad)
     else:
         num, num_err = _oscillatory_integral(alpha, u_min, quad)
     value = num / denom
@@ -208,9 +251,8 @@ def rate_numeric_detail(
         return 0.0, 0.0
     if alpha <= 1.0:
         # positive integrand, relative accuracy survives small alpha
-        comp, comp_err = integrate_adaptive(
-            lambda u: bose_spectral_kernel(u) * one_minus_sinc(alpha * u),
-            _halved_seed_points(u_min, alpha), cut_spec(u_min, quad))
+        comp, comp_err = _panel_integral(lambda u: one_minus_sinc(alpha * u), u_min,
+                                         cut_spec(u_min, quad))
     else:
         denom, denom_err = bose_integral(u_min, quad)
         num, num_err = _oscillatory_integral(alpha, u_min, cut_spec(u_min, quad))

@@ -17,13 +17,16 @@ insertion order, from which each pass bisects the 32 intervals with the
 largest estimates in one batch.  A first pass that meets the target,
 the common case for seeds that already resolve the integrand, is summed
 as it stands and skips that bookkeeping; ``refine`` is the loop alone,
-for a caller that holds a first pass from a larger batch.  The bookkeeping is
+for a caller that holds a first pass from a larger batch, such as one
+formed by ``gk15_panels`` (the nodes) and ``gk15_sums`` (per-row sums of
+integrand values a caller tabulated on them).  The bookkeeping is
 deterministic (equal estimates go to the older interval, and the final
 sum runs sequentially left to right across the intervals), so
 identical inputs give bit-identical results on one platform.  Across
-platforms the last bits may differ: the Kronrod sum is a BLAS dot
-product whose kernel depends on the CPU, and numpy's transcendental
-functions in the integrands round differently at different SIMD levels.
+platforms the last bits may differ: the Kronrod sum of gk15_batch is a
+BLAS dot product whose kernel depends on the CPU (gk15_sums is not), and
+numpy's transcendental functions in the integrands round differently at
+different SIMD levels.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ _NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:15:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+_WEIGHTS = np.stack((_WGK, _WG))
 _BLOCK = 1024  # intervals per integrand call (see the module docstring)
 
 
@@ -97,6 +101,23 @@ def gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError("integrand returned a non-finite value")
     vk = half * (y @ _WGK)
     return vk, np.abs(vk - half * (y @ _WG))
+
+
+def gk15_panels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GK15 nodes on each [a_i, b_i], one row per interval, as gk15_batch
+    places them, and the half-widths: for a caller that tabulates what its
+    integrands share and sums them with gk15_sums."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _NODES, half
+
+
+def gk15_sums(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, |K15 - G7| estimates) from integrand values y on the nodes
+    of gk15_panels and the half-widths.  Each row is summed by numpy's
+    einsum, not a BLAS product, so an interval's bits do not depend on its
+    row in the batch or on the CPU's BLAS kernel."""
+    kronrod, gauss = half * np.einsum("ij,kj->ki", y, _WEIGHTS)
+    return kronrod, np.abs(kronrod - gauss)
 
 
 def integrate_adaptive(

@@ -41,10 +41,15 @@ from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_n
 from .special import zeta_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
-# The cut spectrum is integrated over [u_min, U = u_min + 41.5]; the tail dropped
-# above is e^-41.5 (U^2 + 2U + 2) / (u_min^2 + 2 u_min + 2) <= 8.6e-16 of the
-# integral at every cut-off (analytic bound on int_U^inf u^2 e^-u du).
-U_TRUNCATION = 41.5
+# The cut spectrum is integrated over [u_min, U = u_min + 50]; the tail dropped
+# above is e^-50 (U^2 + 2U + 2) / (u_min^2 + 2 u_min + 2) <= 2.6e-19 of the
+# integral at every cut-off (analytic bound on int_U^inf u^2 e^-u du).  The
+# oracle's rate integrand at small separations goes as alpha^2 u^4 e^-u / 6,
+# whose tail e^-50 (U^4 + 4U^3 + 12U^2 + 24U + 24) / (u_min^4 + ... + 24) is
+# at most 5.5e-17 of its integral.
+U_TRUNCATION = 50.0
+# The kernel's knees: below its mode near u ~ 1.6, past it, and in its decay.
+BOSE_KNEES = (0.5, 2.0, 8.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,7 @@ def bose_seed_points(u_min: float) -> list[float]:
     if not u_min - 2.0 * math.log(math.hypot(u_min + 1.0, 1.0)) < -math.log(sys.float_info.min):
         raise ValueError(
             f"omega_min puts the cutoff at u={u_min:.3g}, beyond the resolvable spectrum")
-    return [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [u_min + U_TRUNCATION]
+    return [u_min] + [p for p in BOSE_KNEES if p > u_min] + [u_min + U_TRUNCATION]
 
 
 @functools.lru_cache(maxsize=16)

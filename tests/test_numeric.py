@@ -1,6 +1,9 @@
 """Quadrature route vs closed forms, and the direct trigamma series."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -21,11 +24,11 @@ from hawkdeco import (
     vacuum_overlap,
     vacuum_rate,
 )
-from hawkdeco import numeric
+from hawkdeco import numeric, quadrature
 from hawkdeco.numeric import overlap_numeric_detail, rate_numeric_detail
 from hawkdeco.quadrature import integrate_adaptive
 from hawkdeco.special import sinc
-from hawkdeco.spectrum import U_TRUNCATION, bose_spectral_kernel
+from hawkdeco.spectrum import U_TRUNCATION, bose_seed_points, bose_spectral_kernel
 
 M_EARTH = 5.97e24
 
@@ -181,101 +184,132 @@ def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
         rate_numeric(geom_at(100.0))
 
 
-def _count_integrand_calls(monkeypatch):
-    # every oracle integrand is bose_spectral_kernel times a sinc weight,
-    # called once per gk15_batch block
-    calls = [0]
-    kernel = numeric.bose_spectral_kernel
+def _count_passes(monkeypatch):
+    # A pass evaluates one transcendental factor on the nodes of a first
+    # pass: the sinc (or 1 - sinc) on the alpha <= 1 table, the kernel on the
+    # lobes of alpha > 1.  A refinement split runs quadrature.gk15_batch.
+    calls = {"pass": 0, "split": 0}
 
-    def counted(u):
-        calls[0] += 1
-        return kernel(u)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(numeric, "bose_spectral_kernel", counted)
+    for name in ("bose_spectral_kernel", "sinc", "one_minus_sinc"):
+        monkeypatch.setattr(numeric, name, counted("pass", getattr(numeric, name)))
+    monkeypatch.setattr(quadrature, "gk15_batch", counted("split", quadrature.gk15_batch))
     return calls
 
 
-def test_one_integrand_call_per_oracle_call(monkeypatch):
-    # alpha <= 1 starts from the halved seeds, and past 128 lobes one batch
-    # holds the head's first pass and the accelerated lobes; the denominator
-    # is cached, so each call integrates once
-    overlap_numeric(geom_at(1.0))
-    calls = _count_integrand_calls(monkeypatch)
-    alphas = [1e-6, 1e-3, 1e-2] + np.linspace(0.0, 1.0, 201)[1:].tolist()
+def test_one_integrand_pass_per_oracle_call(monkeypatch):
+    # the tables and the denominator are cached, so each call makes one pass
+    # and meets the default target there: alpha <= 1 on the panel table;
+    # 1 < alpha <= 10, where the kernel's knees split the first lobe and the
+    # series is accelerated past 128 lobes (alpha ~ 8.04); and far past that
+    for dx_over_rs in (1.0, 100.0, 1e3):
+        overlap_numeric(geom_at(dx_over_rs))
+    calls = _count_passes(monkeypatch)
+    alphas = ([1e-6, 1e-3, 1e-2] + np.linspace(0.0, 1.0, 201)[1:].tolist()
+              + np.linspace(1.0, 10.0, 1001)[1:].tolist())
     for dx_over_rs in [4.0 * math.pi * a for a in alphas] + [1e3, 1e4]:
         for oracle in (rate_numeric, overlap_numeric):
-            calls[0] = 0
+            calls.update({"pass": 0, "split": 0})
             oracle(geom_at(dx_over_rs))
-            assert calls[0] == 1, (oracle.__name__, dx_over_rs)
+            assert calls == {"pass": 1, "split": 0}, (oracle.__name__, dx_over_rs)
 
 
 @pytest.mark.parametrize("quad, refined", [
     (QuadratureSpec(), False), (QuadratureSpec(rel_tol=1e-12, abs_tol=1e-20), True)],
     ids=["default", "tight"])
 @pytest.mark.parametrize("alpha", [130.0, 1e3, 1e5])
-def test_fused_head_is_the_adaptive_head(monkeypatch, alpha, quad, refined):
-    # the head from the shared 128-lobe batch is, bit for bit, the adaptive
-    # integral of its 64 lobes; under the tight spec it misses the target on
-    # the first pass and is refined from there
-    points, _ = numeric._sinc_zeros(alpha, 0.0)
-    head = integrate_adaptive(lambda u: bose_spectral_kernel(u) * sinc(alpha * u),
-                              points[:numeric._EXPLICIT_LOBES + 1], quad)
+def test_accelerated_head_is_the_integral_of_its_lobes(monkeypatch, alpha, quad, refined):
+    # the head of the shared 128-lobe pass is the integral over its 64 lobes,
+    # within the estimates of integrate_adaptive split at the sinc zeros in u;
+    # under the tight spec it misses the target on the first pass and is
+    # refined from there
+    zeros = np.pi * np.arange(numeric._EXPLICIT_LOBES + 1.0) / alpha
+    ref, ref_err = integrate_adaptive(lambda u: bose_spectral_kernel(u) * sinc(alpha * u),
+                                      zeros, quad)
     monkeypatch.setattr(numeric, "_accelerated_tail", lambda lobes: (0.0, 0.0))
-    calls = _count_integrand_calls(monkeypatch)
-    assert numeric._oscillatory_integral(alpha, 0.0, quad)[0] == head[0]
-    assert (calls[0] > 1) == refined
-
-
-def _seed_points_loop(u_min, alpha):
-    # The oracle's former loop-based seed grid, kept as a reference.
-    top = u_min + U_TRUNCATION
-    seeds = {u_min, top}
-    for p in (0.5, 2.0, 8.0, 20.0):
-        if u_min < p < top:
-            seeds.add(p)
-    k = 1
-    while k * math.pi / alpha < top:
-        if k * math.pi / alpha > u_min:
-            seeds.add(k * math.pi / alpha)
-        k += 1
-        if k > 64:
-            break
-    return sorted(seeds)
+    calls = _count_passes(monkeypatch)
+    head, err = numeric._oscillatory_integral(alpha, 0.0, quad)
+    assert abs(head - ref) <= err + ref_err
+    assert (calls["split"] > 0) == refined
 
 
 @pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 10.0, 30.0])
-def test_seed_points_match_loop_reference(u_min):
-    # a regular grid plus alphas whose sinc zeros land on a knee (8, 20)
-    alphas = list(np.linspace(0.0, 1.0, 401)[1:]) + [1e-3, math.pi / 4.0, math.pi / 10.0]
-    for alpha in alphas:
-        assert numeric._seed_points(u_min, alpha) == _seed_points_loop(u_min, alpha)
+def test_panel_table_holds_the_knees_and_the_kernel(u_min):
+    a, b, nodes, half, kernel = numeric._panel_table(u_min)
+    edges = np.append(a, b[-1])
+    assert edges[0] == u_min and edges[-1] == u_min + U_TRUNCATION
+    assert (np.diff(edges) > 0.0).all() and (b == edges[1:]).all()
+    assert set(bose_seed_points(u_min)) <= set(edges.tolist())
+    assert nodes.shape == (len(a), 15) and (half == 0.5 * (b - a)).all()
+    assert kernel.tobytes() == bose_spectral_kernel(nodes).tobytes()
 
 
-def _sinc_zeros_full(alpha, u_min):
-    # The oracle's former construction: every zero in range, kept as a reference.
-    top = u_min + U_TRUNCATION
-    k_first = int(math.floor(u_min * alpha / math.pi)) + 1
-    k_last = int(math.ceil(top * alpha / math.pi)) - 1
-    zeros = np.pi * np.arange(k_first, k_last + 1) / alpha
-    zeros = zeros[(zeros > u_min) & (zeros < top)]
-    return np.concatenate(([u_min], zeros, [top]))
+def test_tables_are_built_once_per_cut_off_and_not_at_import():
+    # importing builds no table; then one per cut-off serves every alpha
+    code = ("import hawkdeco.numeric as n; "
+            "print(n._panel_table.cache_info().currsize, n._lobe_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["0", "0"]
+    for table in (numeric._panel_table, numeric._lobe_table):
+        table.cache_clear()
+    for dx_over_rs in (1e-3, 1.0, 12.0, 20.0, 100.0, 1e3, 1e4):
+        rate_numeric(geom_at(dx_over_rs))
+        overlap_numeric(geom_at(dx_over_rs))
+    for table in (numeric._panel_table, numeric._lobe_table):
+        assert table.cache_info().currsize == 1
+
+
+def test_lobe_table_is_the_sinc_on_whole_lobes():
+    ks, nodes, sincs = numeric._lobe_table(0.0, 128)
+    assert (ks == np.arange(128.0)).all()
+    assert np.all(np.sign(sincs) == (1.0 - 2.0 * (ks % 2.0))[:, None])
+    assert np.allclose(sincs, sinc(np.pi * nodes), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 10.0, 30.0])
-def test_sinc_zeros_are_the_head_of_the_full_grid(u_min):
-    # alphas around the switch to acceleration (128 lobes at alpha ~ 9.69),
-    # and alphas that put a zero exactly on the cut-off or the truncation
-    alphas = [1e-3, 0.5, 1.0, math.pi / 4.0, 2.0, 9.6, 9.69, 9.7, 9.8, 100.0, 159.5, 160.0,
-              1e3, 1e4, 2.0 * math.pi / U_TRUNCATION * 7.0]
-    alphas += [math.pi * k / (u_min + U_TRUNCATION) for k in (1, 7, 128, 5000)]
+def test_lobes_count_the_sinc_lobes(u_min):
+    # alphas around the switch to acceleration (128 lobes at alpha ~ 8.04),
+    # and alphas that put a zero on the cut-off or the truncation
+    top = u_min + U_TRUNCATION
+    alphas = [1.0001, 2.0, 8.0, 8.04, 8.05, 9.7, 100.0, 159.5, 1e3, 1e4]
+    alphas += [math.pi * k / top for k in (17, 128, 129, 5000)]
     if u_min > 0.0:
-        alphas += [math.pi * k / u_min for k in (1, 3, 40, 5000)]
-    for alpha in alphas:
-        full = _sinc_zeros_full(alpha, u_min)
-        head, n_lobes = numeric._sinc_zeros(alpha, u_min)
-        assert n_lobes == len(full) - 1
-        assert head.tobytes() == full[:len(head)].tobytes()
-        assert len(head) == min(len(full), numeric._EXPLICIT_LOBES + numeric._ACCEL_LOBES + 1)
+        alphas += [a for a in (math.pi * k / u_min for k in (1, 3, 40, 5000)) if a > 1.0]
+    with mpmath.workdps(40):
+        for alpha in alphas:
+            c_min, k0, c_top, n = numeric._lobes(alpha, u_min)
+            assert k0 <= c_min < k0 + 1.0 and k0 + n - 1 < c_top <= k0 + n
+            exact_min = mpmath.mpf(u_min) * alpha / mpmath.pi
+            exact_top = mpmath.mpf(top) * alpha / mpmath.pi
+            near_integer = min(abs(x - mpmath.nint(x)) for x in (exact_min, exact_top)) < 1e-9
+            assert near_integer or n == int(mpmath.ceil(exact_top) - mpmath.floor(exact_min))
+
+
+def _closed_forms_mp(alpha: float) -> tuple:
+    # rate / per_u_rate and the overlap from psi1(1 + i alpha) at 30 digits:
+    # sum_n 2n / (n^2 + alpha^2)^2 = -Im psi1(1 + i alpha) / alpha
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        lobes = -mpmath.im(mpmath.psi(1, 1 + 1j * a)) / a
+        return 2 * mpmath.zeta(3) - lobes, lobes / (2 * mpmath.zeta(3))
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-2, 0.3, 1.0, 1.02, 3.0, 30.0, 300.0])
+def test_error_estimates_bound_the_error_against_mpmath(alpha):
+    # the whole error, truncation included, against the untruncated integrals
+    geom = SuperpositionGeometry(delta_x=4.0 * math.pi * alpha, r_s=1.0)
+    complement, overlap = _closed_forms_mp(geom.y)
+    per_u_rate = EmissionSpectrum(r_s=1.0).per_u_rate()
+    rate, rate_err = rate_numeric_detail(geom)
+    assert abs(rate - per_u_rate * complement) <= rate_err + 1e-14 * per_u_rate * complement
+    value, err = overlap_numeric_detail(geom)
+    assert abs(value - overlap) <= err + 1e-14  # scale 1, as verify measures it
 
 
 def test_wide_separation_oracle_memory():

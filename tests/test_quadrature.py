@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hawkdeco import QuadratureAccuracyError, QuadratureSpec, integrate_adaptive
-from hawkdeco.numeric import _seed_points
-from hawkdeco.quadrature import gk15_batch
+from hawkdeco.quadrature import gk15_batch, gk15_panels, gk15_sums
 from hawkdeco.special import sinc
 from hawkdeco.spectrum import bose_seed_points, bose_spectral_kernel
 
@@ -70,7 +69,9 @@ REFERENCE_CASES = {
     "sqrt_abs_tie_4": (lambda x: np.sqrt(np.abs(x)), [-2.0, -1.0, 0.0, 1.0, 2.0]),
     "bose_u0": (bose_spectral_kernel, bose_seed_points(0.0)),
     "bose_u2": (bose_spectral_kernel, bose_seed_points(2.0)),
-    "bose_sinc_0.215": (bose_sinc(0.215), _seed_points(0.0, 0.215)),
+    # the kernel's knees and the sinc zeros below the truncation
+    "bose_sinc_0.215": (bose_sinc(0.215), bose_seed_points(0.0) + [np.pi * k / 0.215
+                                                                  for k in (1, 2, 3)]),
     # 2048 sinc lobes from u = 0, split at the zeros; meets the target on its first pass
     "bose_sinc_250": (bose_sinc(250.0), np.pi * np.arange(2049.0) / 250.0),
 }
@@ -86,6 +87,41 @@ def test_gk15_polynomial_exactness():
 def test_gk15_error_estimate_zero_for_low_degree():
     _, err = gk15_batch(lambda x: 3.0 * x ** 2, np.array([-1.0]), np.array([2.0]))
     assert err[0] < 1e-13
+
+
+def test_gk15_panels_and_sums_are_the_gk15_rule():
+    a, b = np.array([0.0, 0.5, 2.0]), np.array([0.5, 2.0, 7.0])
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return np.exp(-x) * np.sin(3.0 * x)
+
+    values, errors = gk15_batch(f, a, b)
+    nodes, half = gk15_panels(a, b)
+    assert nodes.ravel().tobytes() == seen[0].tobytes()
+    assert half.tobytes() == (0.5 * (b - a)).tobytes()
+    sums, estimates = gk15_sums(f(nodes), half)
+    assert np.allclose(sums, values, rtol=1e-15, atol=0.0)
+    # |K15 - G7| cancels: it agrees to the rounding of the values
+    assert np.allclose(estimates, errors, rtol=0.0, atol=1e-15 * np.abs(values).max())
+
+
+def test_gk15_sums_do_not_depend_on_the_row():
+    # one interval at every row of batches of 1 to 130 gets the same bits,
+    # which a BLAS matrix-vector product does not give (its kernel rounds
+    # the trailing rows differently)
+    rng = np.random.default_rng(0)
+    nodes, half = gk15_panels(np.array([0.3]), np.array([1.7]))
+    row = np.exp(-nodes) * np.sin(3.0 * nodes)
+    value, error = gk15_sums(row, half)
+    for n in range(1, 131):
+        y, h = rng.standard_normal((n, 15)), rng.uniform(0.1, 1.0, n)
+        for pos in range(n):
+            batch, widths = y.copy(), h.copy()
+            batch[pos], widths[pos] = row[0], half[0]
+            v, e = gk15_sums(batch, widths)
+            assert (v[pos], e[pos]) == (value[0], error[0]), (n, pos)
 
 
 def test_adaptive_smooth():

@@ -211,6 +211,20 @@ def test_lambda_total_near_the_overflow_edge():
     assert rate == pytest.approx(total_emission_rate(EmissionSpectrum(r_s=1.0)) / r_s, rel=1e-15)
 
 
+def test_truncation_tail_bounds():
+    # what [0, U_TRUNCATION] drops, as a share of the whole integral, for the
+    # spectrum (u^2) and for the rate at small separations (u^4), at 30 digits;
+    # the bound is largest without a cut-off
+    with mpmath.workdps(30):
+        top = mpmath.mpf(U_TRUNCATION)
+        for power, bound in ((2, 2.6e-19), (4, 5.5e-17)):
+            def f(u):
+                return u ** power / mpmath.expm1(u)
+            share = mpmath.quad(f, [top, mpmath.inf]) / mpmath.quad(f, [0, 2, 10, top, mpmath.inf])
+            assert share <= bound
+            assert share >= bound / 1.3  # the stated bound is close, not loose
+
+
 def test_bose_seed_points():
     assert bose_seed_points(0.0) == [0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION]
     assert bose_seed_points(2.0) == [2.0, 8.0, 20.0, 2.0 + U_TRUNCATION]
