@@ -98,6 +98,13 @@ def trigamma_series_error_bound(z: complex, terms: int = 10000) -> float:
     return 2.0 / (6.0 * w ** 3)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    # a memoised table is shared by every later call: no caller may write to it
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=16)
 def _panel_table(u_min: float) -> tuple:
     """The alpha <= 1 first pass at the cut-off u_min, for every alpha: the
@@ -107,7 +114,7 @@ def _panel_table(u_min: float) -> tuple:
     edges = np.array(sorted(set(bose_seed_points(u_min)) | {u_min + d for d in _PANEL_OFFSETS}))
     a, b = edges[:-1], edges[1:]
     nodes, half = gk15_panels(a, b)
-    return a, b, nodes, half, bose_spectral_kernel(nodes)
+    return _read_only(a, b, nodes, half, bose_spectral_kernel(nodes))
 
 
 def _panel_integral(weight, u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
@@ -131,7 +138,8 @@ def _lobe_table(k0: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # taken on the nearer half of the lobe, the sine keeps its relative
     # accuracy next to the zeros
     sin_t = np.sin(np.pi * np.minimum(t, 1.0 - t))
-    return ks, nodes, np.multiply.outer(1.0 - 2.0 * np.fmod(ks, 2.0), sin_t) / (np.pi * nodes)
+    return _read_only(ks, nodes,
+                      np.multiply.outer(1.0 - 2.0 * np.fmod(ks, 2.0), sin_t) / (np.pi * nodes))
 
 
 def _lobes(alpha: float, u_min: float) -> tuple[float, float, float, int]:

@@ -247,6 +247,8 @@ def test_panel_table_holds_the_knees_and_the_kernel(u_min):
     assert set(bose_seed_points(u_min)) <= set(edges.tolist())
     assert nodes.shape == (len(a), 15) and (half == 0.5 * (b - a)).all()
     assert kernel.tobytes() == bose_spectral_kernel(nodes).tobytes()
+    # memoised, so shared by every later call
+    assert not any(arr.flags.writeable for arr in (a, b, nodes, half, kernel))
 
 
 def test_tables_are_built_once_per_cut_off_and_not_at_import():
@@ -270,6 +272,7 @@ def test_lobe_table_is_the_sinc_on_whole_lobes():
     assert (ks == np.arange(128.0)).all()
     assert np.all(np.sign(sincs) == (1.0 - 2.0 * (ks % 2.0))[:, None])
     assert np.allclose(sincs, sinc(np.pi * nodes), rtol=0.0, atol=1e-15)
+    assert not any(arr.flags.writeable for arr in (ks, nodes, sincs))
 
 
 @pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 10.0, 30.0])
