@@ -12,14 +12,13 @@ The overlap integrand in u = 4 pi omega R_s / c is
 
     (u^2 / (e^u - 1)) sinc(alpha u),   alpha = dx / (4 pi R_s),
 
-integrated over [u_min, u_min + 50] and divided by the same integral
-without the sinc (spectrum.bose_integral, cached, so most calls integrate
-only the numerator), both to abs_tol scaled to the cut integral's size
-(spectrum.cut_spec).  What does not depend on alpha is tabulated once per
-cut-off, lazily, so that a call evaluates one transcendental factor on the
-nodes of one first pass: for alpha <= 1 the sinc (or 1 - sinc) on a fixed
-panel grid that holds the kernel (_panel_table); for alpha > 1 the kernel on
-the lobes between the sinc zeros, taken in c = alpha u / pi, where lobe k is
+integrated over [0, 50] and divided by the same integral without the sinc
+(spectrum.bose_integral, cached, so most calls integrate only the
+numerator).  What does not depend on alpha is tabulated once, lazily, so
+that a call evaluates one transcendental factor on the nodes of one first
+pass: for alpha <= 1 the sinc (or 1 - sinc) on a fixed panel grid that
+holds the kernel (_panel_table); for alpha > 1 the kernel on the lobes
+between the sinc zeros, taken in c = alpha u / pi, where lobe k is
 [k, k + 1] and the sinc on a whole lobe comes from a table of sin(pi t)
 (_lobe_table), free of the phase rounding of sin(alpha u).  Past 128 lobes
 (alpha > 8.04) the first 64 are integrated and the rest of the series is
@@ -45,16 +44,15 @@ from .blackhole import _count
 from .quadrature import QuadratureSpec, gk15_panels, gk15_sums, refine
 from .rates import SuperpositionGeometry
 from .special import _trigamma_domain, one_minus_sinc, sinc
-from .spectrum import (BOSE_KNEES, EmissionSpectrum, U_TRUNCATION, bose_integral,
-                       bose_seed_points, bose_spectral_kernel, cut_spec)
+from .spectrum import (BOSE_KNEES, BOSE_SEEDS, EmissionSpectrum, U_TRUNCATION, bose_integral,
+                       bose_spectral_kernel)
 
-# Panel edges for alpha <= 1 as offsets from the cut-off, besides the
-# kernel's knees above it and the truncation: 17 panels at u_min = 0, on
+# Panel edges for alpha <= 1: the kernel's seeds and 12 more, 17 panels on
 # which the first pass meets even the fixture's tight spec (rel_tol 1e-12,
 # abs_tol 1e-16) at every alpha <= 1, its error estimate at least 100 times
 # below the target.
-_PANEL_OFFSETS = (0.0, 0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 10.0, 12.0, 14.0, 17.0, 20.0, 24.0,
-                  28.0, 33.0, 38.0, 44.0)
+_PANEL_EDGES = sorted({*BOSE_SEEDS, 3.5, 5.0, 6.5, 10.0, 12.0, 14.0, 17.0, 24.0, 28.0, 33.0,
+                       38.0, 44.0})
 # Past this many sinc lobes the remaining alternating series is
 # accelerated instead of integrated lobe by lobe.
 _EXPLICIT_LOBES = 64
@@ -105,34 +103,32 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-@functools.lru_cache(maxsize=16)
-def _panel_table(u_min: float) -> tuple:
-    """The alpha <= 1 first pass at the cut-off u_min, for every alpha: the
-    panel edges (u_min + _PANEL_OFFSETS, the kernel's knees and the
-    truncation), the GK15 nodes and half-widths, and the kernel on the
-    nodes.  Memoised like bose_integral."""
-    edges = np.array(sorted(set(bose_seed_points(u_min)) | {u_min + d for d in _PANEL_OFFSETS}))
+@functools.cache
+def _panel_table() -> tuple:
+    """The alpha <= 1 first pass, for every alpha: the panels on _PANEL_EDGES,
+    their GK15 nodes and half-widths, and the kernel on the nodes."""
+    edges = np.array(_PANEL_EDGES)
     a, b = edges[:-1], edges[1:]
     nodes, half = gk15_panels(a, b)
     return _read_only(a, b, nodes, half, bose_spectral_kernel(nodes))
 
 
-def _panel_integral(weight, u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
-    """integral of bose * weight(u) over [u_min, u_min + U_TRUNCATION], for
-    a weight that varies on the scale of the panels (sinc(alpha u), alpha <= 1):
-    one pass over the cached table, refined only if it misses the target."""
-    a, b, nodes, half, kernel = _panel_table(u_min)
+def _panel_integral(weight, quad: QuadratureSpec) -> tuple[float, float]:
+    """integral of bose * weight(u) over [0, U_TRUNCATION], for a weight that
+    varies on the scale of the panels (sinc(alpha u), alpha <= 1): one pass
+    over the cached table, refined only if it misses the target."""
+    a, b, nodes, half, kernel = _panel_table()
     return refine(lambda u: bose_spectral_kernel(u) * weight(u), a, b,
                   *gk15_sums(kernel * weight(nodes), half), quad)
 
 
-@functools.lru_cache(maxsize=16)
-def _lobe_table(k0: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lobes [k, k + 1] of sin(pi c), k = k0 .. k0 + n - 1: their left
-    edges, their GK15 nodes, and sin(pi c) / (pi c) on the nodes, the sine
-    (-1)^k sin(pi t) from the 15 values of sin(pi t) on the nodes t of
-    [0, 1].  Memoised: without a cut-off every alpha > 1 reads k0 = 0."""
-    ks = k0 + np.arange(n, dtype=float)
+@functools.cache
+def _lobe_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first _EXPLICIT_LOBES + _ACCEL_LOBES lobes [k, k + 1] of sin(pi c):
+    their left edges, their GK15 nodes, and sin(pi c) / (pi c) on the nodes,
+    the sine (-1)^k sin(pi t) from the 15 values of sin(pi t) on the nodes t
+    of [0, 1]."""
+    ks = np.arange(_EXPLICIT_LOBES + _ACCEL_LOBES, dtype=float)
     nodes, _ = gk15_panels(ks, ks + 1.0)
     t = gk15_panels(np.zeros(1), np.ones(1))[0][0]
     # taken on the nearer half of the lobe, the sine keeps its relative
@@ -142,19 +138,15 @@ def _lobe_table(k0: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                       np.multiply.outer(1.0 - 2.0 * np.fmod(ks, 2.0), sin_t) / (np.pi * nodes))
 
 
-def _lobes(alpha: float, u_min: float) -> tuple[float, float, float, int]:
-    """(c_min, k0, c_top, n): in c = alpha u / pi, where lobe k of sinc(alpha u)
-    is [k, k + 1], the cut-off c_min in the first lobe k0, the truncation
-    c_top, and the number of lobes from c_min to c_top, about 15.9 alpha."""
-    c_min = u_min * alpha / math.pi
-    c_top = (u_min + U_TRUNCATION) * alpha / math.pi
-    k0 = math.floor(c_min) if c_top < math.inf else 2 ** 53
-    # past k = 2^53 (or an infinite last edge) adjacent integers are no longer distinct doubles
-    if k0 + _EXPLICIT_LOBES + _ACCEL_LOBES >= 2 ** 53:
-        raise ValueError(f"delta_x / r_s={4.0 * math.pi * alpha:g} puts the sinc zeros above "
-                         f"u={u_min:g} closer together than adjacent doubles")
-    # k in floats: exact below 2^53
-    return c_min, float(k0), c_top, math.ceil(c_top) - k0
+def _lobes(alpha: float) -> tuple[float, int]:
+    """(c_top, n): in c = alpha u / pi, where lobe k of sinc(alpha u) is
+    [k, k + 1], the truncation c_top and the number of lobes below it,
+    about 15.9 alpha."""
+    c_top = U_TRUNCATION * alpha / math.pi
+    if c_top == math.inf:
+        raise ValueError(f"delta_x / r_s={4.0 * math.pi * alpha:g} puts the sinc zeros "
+                         f"below u={U_TRUNCATION:g} past the largest double")
+    return c_top, math.ceil(c_top)
 
 
 def _accelerated_tail(lobe_values: np.ndarray) -> tuple[float, float]:
@@ -167,28 +159,27 @@ def _accelerated_tail(lobe_values: np.ndarray) -> tuple[float, float]:
     return float(estimate), 2.0 * abs(float(estimate - earlier))
 
 
-def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> tuple[float, float]:
-    """integral of bose * sinc(alpha u) over [u_min, u_min + U_TRUNCATION]
-    for alpha > 1, lobe by lobe in c = alpha u / pi, where sinc(alpha u) is
-    sinc(pi c) and du = (pi / alpha) dc.  Returns (value, error estimate)."""
+def _oscillatory_integral(alpha: float, quad: QuadratureSpec) -> tuple[float, float]:
+    """integral of bose * sinc(alpha u) over [0, U_TRUNCATION] for alpha > 1,
+    lobe by lobe in c = alpha u / pi, where sinc(alpha u) is sinc(pi c) and
+    du = (pi / alpha) dc.  Returns (value, error estimate)."""
     scale = math.pi / alpha
 
     def f(c):
         return scale * bose_spectral_kernel(c * scale) * sinc(np.pi * c)
 
-    c_min, k0, c_top, n_lobes = _lobes(alpha, u_min)
+    c_top, n_lobes = _lobes(alpha)
     accelerate = n_lobes > _EXPLICIT_LOBES + _ACCEL_LOBES
     # The panels: the first lobe, split at the kernel's knees in it, whole
     # lobes from the table, and the last lobe, cut at the truncation, unless
     # the series is accelerated before it.  The pieces of lobes take the
     # sinc on their own nodes.
-    first = [c_min, *(c for c in (p / scale for p in BOSE_KNEES if p > u_min) if c < k0 + 1.0),
-             k0 + 1.0]
-    pieces = [] if first == [k0, k0 + 1.0] else list(zip(first[:-1], first[1:]))
+    first = [0.0, *(c for c in (p / scale for p in BOSE_KNEES) if c < 1.0), 1.0]
+    pieces = [] if len(first) == 2 else list(zip(first[:-1], first[1:]))
     n_first = len(pieces)
     if not accelerate:
-        pieces.append((k0 + n_lobes - 1.0, c_top))
-    ks, nodes, sincs = _lobe_table(k0, _EXPLICIT_LOBES + _ACCEL_LOBES)
+        pieces.append((n_lobes - 1.0, c_top))
+    ks, nodes, sincs = _lobe_table()
     stop = _EXPLICIT_LOBES + _ACCEL_LOBES if accelerate else n_lobes - 1
     whole = slice(1 if n_first else 0, stop)
     a, b, nodes, sincs = ks[whole], ks[whole] + 1.0, nodes[whole], sincs[whole]
@@ -206,29 +197,27 @@ def _oscillatory_integral(alpha: float, u_min: float, quad: QuadratureSpec) -> t
     if not accelerate:
         return head, head_err
     tail, tail_err = _accelerated_tail(values[n_head:])
-    # The acceleration implicitly sums the series on past u_min + U_TRUNCATION;
-    # that continuation is bounded by the Bose tail there, at most 2.6e-19 of
-    # the denominator at every cut-off, as the truncation moves with the cut-off.
+    # The acceleration implicitly sums the series on past U_TRUNCATION; that
+    # continuation is bounded by the Bose tail there, at most 2.6e-19 of the
+    # denominator.
     return head + tail, head_err + tail_err + float(errors[n_head:].sum())
 
 
 def overlap_numeric_detail(
     geom: SuperpositionGeometry,
-    omega_min: float = 0.0,
+    *,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """(overlap, error estimate) by quadrature, for the spectrum of the
-    hole of radius geom.r_s cut off below omega_min."""
-    u_min = EmissionSpectrum(r_s=geom.r_s, omega_min=omega_min).u_min
-    denom, denom_err = bose_integral(u_min, quad)
+    hole of radius geom.r_s."""
     alpha = geom.y
     if alpha == 0.0:
         return 1.0, 0.0
-    quad = cut_spec(u_min, quad)
+    denom, denom_err = bose_integral(quad)
     if alpha <= 1.0:
-        num, num_err = _panel_integral(lambda u: sinc(alpha * u), u_min, quad)
+        num, num_err = _panel_integral(lambda u: sinc(alpha * u), quad)
     else:
-        num, num_err = _oscillatory_integral(alpha, u_min, quad)
+        num, num_err = _oscillatory_integral(alpha, quad)
     value = num / denom
     err = (num_err + abs(value) * denom_err) / denom
     return value, err
@@ -236,45 +225,41 @@ def overlap_numeric_detail(
 
 def overlap_numeric(
     geom: SuperpositionGeometry,
-    omega_min: float = 0.0,
+    *,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Sinc-weighted spectral average of the emission spectrum: the
     emitted-photon overlap, computed without the closed form."""
-    return overlap_numeric_detail(geom, omega_min, quad)[0]
+    return overlap_numeric_detail(geom, quad=quad)[0]
 
 
 def rate_numeric_detail(
     geom: SuperpositionGeometry,
-    omega_min: float = 0.0,
+    *,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[float, float]:
     """(rate, error estimate) in s^-1 by quadrature, for the spectrum of
-    the hole of radius geom.r_s cut off below omega_min."""
-    spectrum = EmissionSpectrum(r_s=geom.r_s, omega_min=omega_min)
-    u_min = spectrum.u_min
-    bose_seed_points(u_min)  # rejects a cut-off beyond the spectrum on every branch
+    the hole of radius geom.r_s."""
     alpha = geom.y
     if alpha == 0.0:
         return 0.0, 0.0
     if alpha <= 1.0:
         # positive integrand, relative accuracy survives small alpha
-        comp, comp_err = _panel_integral(lambda u: one_minus_sinc(alpha * u), u_min,
-                                         cut_spec(u_min, quad))
+        comp, comp_err = _panel_integral(lambda u: one_minus_sinc(alpha * u), quad)
     else:
-        denom, denom_err = bose_integral(u_min, quad)
-        num, num_err = _oscillatory_integral(alpha, u_min, cut_spec(u_min, quad))
+        denom, denom_err = bose_integral(quad)
+        num, num_err = _oscillatory_integral(alpha, quad)
         comp = denom - num
         comp_err = num_err + denom_err
-    per_u_rate = spectrum.per_u_rate()
+    per_u_rate = EmissionSpectrum(r_s=geom.r_s).per_u_rate()
     return per_u_rate * comp, per_u_rate * comp_err
 
 
 def rate_numeric(
     geom: SuperpositionGeometry,
-    omega_min: float = 0.0,
+    *,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Vacuum decoherence rate by quadrature: per-u emission coefficient
     times the integral of the spectrum weighted by 1 - sinc."""
-    return rate_numeric_detail(geom, omega_min, quad)[0]
+    return rate_numeric_detail(geom, quad=quad)[0]

@@ -10,28 +10,23 @@ over all frequencies,
 
     Lambda_total = 27 zeta(3) c / (32 pi^4 R_s)  ~=  1.0412e-2 c/R_s,
 
-using int_0^inf u^2/(e^u - 1) du = 2 zeta(3).  A low-frequency cutoff
-omega_min has no closed form and is handled by quadrature.
+using int_0^inf u^2/(e^u - 1) du = 2 zeta(3).
 
 ``species_multiplicity`` N, an integer >= 1, is the one rate multiplier:
 it multiplies the whole rate for N - 1 additional massless emission
 channels and leaves the normalized frequency distribution unchanged.
 
-``per_u_rate`` (rate per unit u-integral) and ``bose_seed_points`` (the
-kernel's knees and the cut-off limit) serve the oracle and the checks too.
-``bose_integral`` is the one quadrature of the cut spectrum, cached per
-cut-off and spec: the cut total rate, the oracle's denominator and the
-saturation check all read it.  ``cut_spec`` scales a spec's absolute
-target to the size of the cut integral, for it and the oracle's numerators.
+``per_u_rate`` (rate per unit u-integral) and ``BOSE_SEEDS`` (the kernel's
+knees and the truncation) serve the oracle and the checks too.
+``bose_integral`` is the one quadrature of the spectrum, cached per spec:
+the oracle's denominator and the saturation check both read it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +36,16 @@ from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_n
 from .special import zeta_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
-# The cut spectrum is integrated over [u_min, U = u_min + 50]; the tail dropped
-# above is e^-50 (U^2 + 2U + 2) / (u_min^2 + 2 u_min + 2) <= 2.6e-19 of the
-# integral at every cut-off (analytic bound on int_U^inf u^2 e^-u du).  The
-# oracle's rate integrand at small separations goes as alpha^2 u^4 e^-u / 6,
-# whose tail e^-50 (U^4 + 4U^3 + 12U^2 + 24U + 24) / (u_min^4 + ... + 24) is
-# at most 5.5e-17 of its integral.
+# The spectrum is integrated over [0, U = 50]; the tail dropped above is
+# e^-50 (U^2 + 2U + 2) / 2 <= 2.6e-19 of the integral (analytic bound on
+# int_U^inf u^2 e^-u du).  The oracle's rate integrand at small separations
+# goes as alpha^2 u^4 e^-u / 6, whose tail e^-50 (U^4 + 4U^3 + 12U^2 + 24U + 24)
+# / 24 is at most 5.5e-17 of its integral.
 U_TRUNCATION = 50.0
 # The kernel's knees: below its mode near u ~ 1.6, past it, and in its decay.
 BOSE_KNEES = (0.5, 2.0, 8.0, 20.0)
+# Breakpoints for the kernel on [0, U_TRUNCATION]: the ends and the knees.
+BOSE_SEEDS = (0.0, *BOSE_KNEES, U_TRUNCATION)
 
 
 @dataclass(frozen=True)
@@ -58,18 +54,11 @@ class EmissionSpectrum:
 
     r_s: float
     species_multiplicity: int = 1
-    omega_min: float = 0.0
     constants: PhysicalConstants = CODATA2018
 
     def __post_init__(self) -> None:
         _positive("r_s", self.r_s)
         _count("species_multiplicity", self.species_multiplicity)
-        _non_negative("omega_min", self.omega_min)
-
-    @property
-    def u_min(self) -> float:
-        """Cutoff in the dimensionless frequency u = 4 pi omega R_s / c."""
-        return 4.0 * math.pi * self.omega_min * self.r_s / self.constants.c
 
     def per_u_rate(self) -> float:
         """N * 27 c / (64 pi^4 R_s) in s^-1: the rate per unit of the
@@ -106,35 +95,25 @@ def rate_density(spectrum: EmissionSpectrum, omega: float) -> float:
     """Differential emission rate Lambda(omega), per unit angular frequency.
 
     omega = 0 is accepted and gives 0 (the u^2 prefactor wins over the
-    Bose pole); negative frequencies are a domain error.  Frequencies
-    below the omega_min cutoff return 0.
+    Bose pole); negative frequencies are a domain error.
     """
     _non_negative("omega", omega)
-    if omega == 0.0 or omega < spectrum.omega_min:
+    if omega == 0.0:
         return 0.0
     u = 4.0 * math.pi * omega * spectrum.r_s / spectrum.constants.c
     return spectrum.species_multiplicity * 27.0 / (16.0 * math.pi ** 3) * bose_spectral_kernel(u)
 
 
-def total_emission_rate(spectrum: EmissionSpectrum, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Total photon emission rate Lambda_total in s^-1.
-
-    Closed form 27 zeta(3) c / (32 pi^4 R_s) for an uncut spectrum;
-    with omega_min > 0 the truncated u-integral is done numerically.
-    A radius so small or so large that the rate overflows or leaves the
-    normal range of a double is a ValueError naming r_s.
-    """
-    def rate():
-        if spectrum.omega_min == 0.0:
-            return closed_form_emission_rate(spectrum.r_s, spectrum.species_multiplicity,
-                                             spectrum.constants)
-        return spectrum.per_u_rate() * bose_integral(spectrum.u_min, quad)[0]
-
-    return _in_range("Lambda_total", rate, "r_s={!r} m", spectrum.r_s)
+def total_emission_rate(spectrum: EmissionSpectrum) -> float:
+    """Total photon emission rate Lambda_total = 27 zeta(3) c / (32 pi^4 R_s) in s^-1;
+    a radius that puts it out of the normal range of a double is a ValueError naming r_s."""
+    return _in_range("Lambda_total", lambda: closed_form_emission_rate(
+        spectrum.r_s, spectrum.species_multiplicity, spectrum.constants),
+        "r_s={!r} m", spectrum.r_s)
 
 
 def closed_form_emission_rate(r_s, species_multiplicity: int, constants: PhysicalConstants):
-    """Lambda_total = N * 27 zeta(3) c / (32 pi^4 r_s) of an uncut spectrum, unchecked.
+    """Lambda_total = N * 27 zeta(3) c / (32 pi^4 r_s), unchecked.
     r_s may be a float or a numpy array; the bits are the same either way."""
     # Dividing the constant by 32 is exact, and keeps the quotient by
     # pi^4 r_s at Lambda_total / N instead of 32 times that, so it does not
@@ -152,32 +131,9 @@ def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:
     return rate_density(spectrum, omega) / total_emission_rate(spectrum)
 
 
-def bose_seed_points(u_min: float) -> list[float]:
-    """Breakpoints for the Bose kernel on [u_min, u_min + U_TRUNCATION]: the
-    cut-off, the knees above it (mode near u ~ 1.6, decay past ~10) and the
-    truncation.  Past u ~ 721.6 the cut integral, about e^-u (u^2 + 2u + 2),
-    leaves the normal doubles: no resolvable spectrum (ValueError)."""
-    if not u_min - 2.0 * math.log(math.hypot(u_min + 1.0, 1.0)) < -math.log(sys.float_info.min):
-        raise ValueError(
-            f"omega_min puts the cutoff at u={u_min:.3g}, beyond the resolvable spectrum")
-    return [u_min] + [p for p in BOSE_KNEES if p > u_min] + [u_min + U_TRUNCATION]
-
-
 @functools.lru_cache(maxsize=16)
-def cut_spec(u_min: float, quad: QuadratureSpec) -> QuadratureSpec:
-    """quad with abs_tol scaled by e^-u_min (u_min^2 + 2 u_min + 2) / 2: the
-    integral of u^2 e^-u above u_min over its value above 0, about the cut
-    integral's size, and exactly 1 at u_min = 0.  At a high cut-off the integral
-    is far below abs_tol, so unscaled the first panels would meet the absolute
-    target and cap the result at a few digits."""
-    size = math.exp(math.log((u_min * u_min + 2.0 * u_min + 2.0) / 2.0) - u_min)
-    # an abs_tol that underflows would be rejected; the smallest double stands in
-    return dataclasses.replace(quad, abs_tol=max(quad.abs_tol * size, math.ulp(0.0)))
-
-
-@functools.lru_cache(maxsize=16)
-def bose_integral(u_min: float, quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+def bose_integral(quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
     """(value, error estimate) of the integral of bose_spectral_kernel over
-    [u_min, u_min + U_TRUNCATION] on bose_seed_points(u_min); memoised, as the oracle
-    needs it at one cut-off and spec on most calls."""
-    return integrate_adaptive(bose_spectral_kernel, bose_seed_points(u_min), cut_spec(u_min, quad))
+    [0, U_TRUNCATION] on BOSE_SEEDS; memoised, as the oracle needs it at one
+    spec on most calls."""
+    return integrate_adaptive(bose_spectral_kernel, BOSE_SEEDS, quad)

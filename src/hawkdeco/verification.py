@@ -142,7 +142,7 @@ def check_zeta_table() -> CheckResult:
 def check_emission_saturation() -> CheckResult:
     # closed-form Lambda_total against raw quadrature of the spectrum, horizon
     # radii spanning twelve decades; the u-integral is the same for every r_s
-    integral, _ = bose_integral(0.0, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16))
+    integral, _ = bose_integral(QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16))
     spectra = [EmissionSpectrum(r_s=r_s) for r_s in (1e-6, 1.0, 1e6)]
     worst = _worst(_rel(total_emission_rate(s), s.per_u_rate() * integral) for s in spectra)
     return _check("emission_saturation",

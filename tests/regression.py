@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from hawkdeco.blackhole import CODATA2018
 from hawkdeco.quadrature import QuadratureSpec
 from hawkdeco.rates import SuperpositionGeometry, ThermalBathParams, thermal_sphere_rate
 from hawkdeco.numeric import overlap_numeric, rate_numeric, trigamma_series
@@ -146,15 +145,6 @@ def generate_records() -> list[RegressionRecord]:
         rel_tol=1e-10,
         generator="overlap_numeric",
         params=f"alpha=1.0 u_min=0.0 {quad_params}",
-    ))
-
-    # Same separation with a hard infrared cutoff at u_min = 2.
-    out.append(RegressionRecord(
-        name="overlap_alpha_1_umin_2",
-        value=overlap_numeric(geom_alpha1, 2.0 * CODATA2018.c / (4.0 * math.pi), quad=_REF_QUAD),
-        rel_tol=1e-10,
-        generator="overlap_numeric",
-        params=f"alpha=1.0 u_min=2.0 {quad_params}",
     ))
 
     # Headline one-centimetre superpositions.

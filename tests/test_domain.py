@@ -33,8 +33,6 @@ BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
                  id="evolve_coherence-t_max-inf"),
     pytest.param(lambda: rate_density(EmissionSpectrum(r_s=1.0), math.nan), "omega",
                  id="rate_density-omega-nan"),
-    pytest.param(lambda: EmissionSpectrum(r_s=1.0, omega_min=math.nan), "omega_min",
-                 id="spectrum-omega_min-nan"),
     pytest.param(lambda: EmissionSpectrum(r_s=math.inf), "r_s", id="spectrum-r_s-inf"),
     pytest.param(lambda: QuadratureSpec(rel_tol=math.inf), "rel_tol", id="quad-rel_tol-inf"),
     pytest.param(lambda: QuadratureSpec(abs_tol=math.nan), "abs_tol", id="quad-abs_tol-nan"),

@@ -1,5 +1,6 @@
 """Quadrature route vs closed forms, and the direct trigamma series."""
 
+import functools
 import math
 import os
 import subprocess
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from hawkdeco import (
-    CODATA2018,
     EmissionSpectrum,
     QuadratureSpec,
     SuperpositionGeometry,
@@ -28,7 +28,7 @@ from hawkdeco import numeric, quadrature
 from hawkdeco.numeric import overlap_numeric_detail, rate_numeric_detail
 from hawkdeco.quadrature import integrate_adaptive
 from hawkdeco.special import sinc
-from hawkdeco.spectrum import U_TRUNCATION, bose_seed_points, bose_spectral_kernel
+from hawkdeco.spectrum import BOSE_SEEDS, U_TRUNCATION, bose_spectral_kernel
 
 M_EARTH = 5.97e24
 
@@ -133,43 +133,6 @@ def test_error_estimates_are_honest():
         assert abs(r_loose - r_tight) <= max(re_loose, 1e-14 * abs(r_tight))
 
 
-def omega_at_u(u: float, r_s: float = 1.0) -> float:
-    # the angular frequency at u = 4 pi omega r_s / c
-    return u * CODATA2018.c / (4.0 * math.pi * r_s)
-
-
-def test_cutoff_overlap_differs():
-    geom = geom_at(4.0 * math.pi)
-    # u_min = 2: the soft part of the spectrum is gone and the overlap drops
-    assert EmissionSpectrum(r_s=1.0, omega_min=omega_at_u(2.0)).u_min == pytest.approx(
-        2.0, rel=1e-12)
-    without = overlap_numeric(geom)
-    with_cut = overlap_numeric(geom, omega_min=omega_at_u(2.0))
-    assert with_cut != pytest.approx(without, rel=1e-3)
-
-
-def test_cutoff_is_taken_at_the_geometry_radius():
-    # the same u_min on holes of different size gives the same overlap
-    small = overlap_numeric(geom_at(4.0 * math.pi), omega_at_u(2.0))
-    large = overlap_numeric(geom_at(4.0 * math.pi, r_s=1e3), omega_at_u(2.0, r_s=1e3))
-    assert small == pytest.approx(large, rel=1e-10)
-
-
-def test_cutoff_beyond_truncation_rejected():
-    # the truncation moves with the cut-off, so a cut near u = 41.5 leaves a
-    # spectrum like any other; past u ~ 721.6 the cut integral leaves the
-    # normal range of a double
-    assert abs(overlap_numeric(geom_at(1.0), omega_at_u(41.0))) <= 1.0
-    with pytest.raises(ValueError, match="omega_min"):
-        overlap_numeric(geom_at(1.0), omega_at_u(722.0))
-
-
-def test_cutoff_rejected_on_every_rate_branch():
-    for dx_over_rs in (0.0, 1.0, 100.0):  # alpha = 0, < 1 and > 1
-        with pytest.raises(ValueError, match="cutoff"):
-            rate_numeric(geom_at(dx_over_rs), omega_at_u(722.0))
-
-
 def test_rate_below_alpha_one_skips_the_denominator(monkeypatch):
     # alpha = 1 exactly sits on the seeded side, as in overlap_numeric
     assert geom_at(4.0 * math.pi).y == 1.0
@@ -233,26 +196,25 @@ def test_accelerated_head_is_the_integral_of_its_lobes(monkeypatch, alpha, quad,
                                       zeros, quad)
     monkeypatch.setattr(numeric, "_accelerated_tail", lambda lobes: (0.0, 0.0))
     calls = _count_passes(monkeypatch)
-    head, err = numeric._oscillatory_integral(alpha, 0.0, quad)
+    head, err = numeric._oscillatory_integral(alpha, quad)
     assert abs(head - ref) <= err + ref_err
     assert (calls["split"] > 0) == refined
 
 
-@pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 10.0, 30.0])
-def test_panel_table_holds_the_knees_and_the_kernel(u_min):
-    a, b, nodes, half, kernel = numeric._panel_table(u_min)
+def test_panel_table_holds_the_knees_and_the_kernel():
+    a, b, nodes, half, kernel = numeric._panel_table()
     edges = np.append(a, b[-1])
-    assert edges[0] == u_min and edges[-1] == u_min + U_TRUNCATION
+    assert edges[0] == 0.0 and edges[-1] == U_TRUNCATION and len(a) == 17
     assert (np.diff(edges) > 0.0).all() and (b == edges[1:]).all()
-    assert set(bose_seed_points(u_min)) <= set(edges.tolist())
+    assert set(BOSE_SEEDS) <= set(edges.tolist())
     assert nodes.shape == (len(a), 15) and (half == 0.5 * (b - a)).all()
     assert kernel.tobytes() == bose_spectral_kernel(nodes).tobytes()
     # memoised, so shared by every later call
     assert not any(arr.flags.writeable for arr in (a, b, nodes, half, kernel))
 
 
-def test_tables_are_built_once_per_cut_off_and_not_at_import():
-    # importing builds no table; then one per cut-off serves every alpha
+def test_tables_are_built_once_and_not_at_import():
+    # importing builds no table; then one of each kind serves every alpha
     code = ("import hawkdeco.numeric as n; "
             "print(n._panel_table.cache_info().currsize, n._lobe_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -268,30 +230,25 @@ def test_tables_are_built_once_per_cut_off_and_not_at_import():
 
 
 def test_lobe_table_is_the_sinc_on_whole_lobes():
-    ks, nodes, sincs = numeric._lobe_table(0.0, 128)
+    ks, nodes, sincs = numeric._lobe_table()
     assert (ks == np.arange(128.0)).all()
     assert np.all(np.sign(sincs) == (1.0 - 2.0 * (ks % 2.0))[:, None])
     assert np.allclose(sincs, sinc(np.pi * nodes), rtol=0.0, atol=1e-15)
     assert not any(arr.flags.writeable for arr in (ks, nodes, sincs))
 
 
-@pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 10.0, 30.0])
-def test_lobes_count_the_sinc_lobes(u_min):
+def test_lobes_count_the_sinc_lobes():
     # alphas around the switch to acceleration (128 lobes at alpha ~ 8.04),
-    # and alphas that put a zero on the cut-off or the truncation
-    top = u_min + U_TRUNCATION
+    # and alphas that put a zero on the truncation
     alphas = [1.0001, 2.0, 8.0, 8.04, 8.05, 9.7, 100.0, 159.5, 1e3, 1e4]
-    alphas += [math.pi * k / top for k in (17, 128, 129, 5000)]
-    if u_min > 0.0:
-        alphas += [a for a in (math.pi * k / u_min for k in (1, 3, 40, 5000)) if a > 1.0]
+    alphas += [math.pi * k / U_TRUNCATION for k in (17, 128, 129, 5000)]
     with mpmath.workdps(40):
         for alpha in alphas:
-            c_min, k0, c_top, n = numeric._lobes(alpha, u_min)
-            assert k0 <= c_min < k0 + 1.0 and k0 + n - 1 < c_top <= k0 + n
-            exact_min = mpmath.mpf(u_min) * alpha / mpmath.pi
-            exact_top = mpmath.mpf(top) * alpha / mpmath.pi
-            near_integer = min(abs(x - mpmath.nint(x)) for x in (exact_min, exact_top)) < 1e-9
-            assert near_integer or n == int(mpmath.ceil(exact_top) - mpmath.floor(exact_min))
+            c_top, n = numeric._lobes(alpha)
+            assert n - 1 < c_top <= n
+            exact_top = mpmath.mpf(U_TRUNCATION) * alpha / mpmath.pi
+            assert abs(exact_top - mpmath.nint(exact_top)) < 1e-9 or n == int(
+                mpmath.ceil(exact_top))
 
 
 def _closed_forms_mp(alpha: float) -> tuple:
@@ -329,14 +286,12 @@ def test_wide_separation_oracle_memory():
     assert value == pytest.approx(vacuum_rate(geom).rate, rel=1e-8)
 
 
-@pytest.mark.parametrize("dx_over_rs, u_min", [
-    (1e40, 0.3), (1e100, 0.3), (1e300, 0.3),   # the lobe edges read pass k = 2^53
-    (1e308, 0.0), (1e308, 0.3),                # U_TRUNCATION alpha / pi overflows
-])
-def test_separations_past_distinct_sinc_zeros_name_the_argument(dx_over_rs, u_min):
+@pytest.mark.parametrize("dx_over_rs", [5e307, 1e308])
+def test_separations_past_distinct_sinc_zeros_name_the_argument(dx_over_rs):
+    # U_TRUNCATION alpha / pi overflows past dx/R_s ~ 4.5e307
     for oracle in (rate_numeric, overlap_numeric):
-        with pytest.raises(ValueError, match=r"^delta_x / r_s=1e\+[0-9]+ puts the sinc zeros"):
-            oracle(geom_at(dx_over_rs), omega_at_u(u_min))
+        with pytest.raises(ValueError, match=r"^delta_x / r_s=[0-9]e\+30[78] puts the sinc zeros"):
+            oracle(geom_at(dx_over_rs))
 
 
 def _overlap_at_large_y(y: float) -> float:
@@ -349,33 +304,33 @@ def _overlap_at_large_y(y: float) -> float:
 
 @pytest.mark.parametrize("dx_over_rs", [1e40, 1e100, 1e300])
 def test_huge_separations_without_cutoff_keep_their_values(dx_over_rs):
-    # u_min = 0: the first lobe edges read are pi k / alpha with k <= 129
+    # the lobe edges read are pi k / alpha with k <= 129
     geom = geom_at(dx_over_rs)
     overlap = _overlap_at_large_y(geom.y)
     assert rate_numeric(geom) == pytest.approx(3121476.17761359, rel=1e-14)
     assert overlap_numeric(geom) == pytest.approx(overlap, rel=2e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("u_min", [0.0, 0.3, 2.0, 8.0, 20.0, 30.0, 39.0])
-def test_accelerated_and_explicit_lobe_sums_agree(monkeypatch, u_min):
-    # the Euler tail after 64 lobes against 2048 lobes integrated one by
-    # one: with the truncation at u_min + 41.5 the continuation past it
-    # that the acceleration sums is negligible at every cut-off
-    omega_min = omega_at_u(u_min)
+def test_accelerated_and_explicit_lobe_sums_agree(monkeypatch):
+    # the Euler tail after 64 lobes against 2048 lobes integrated one by one
     for dx_over_rs in (100.0, 130.0, 500.0, 3286.0, 3e4, 1e6):
         geom = geom_at(dx_over_rs)
         runs = []
         for lobes in (64, 2048):
             monkeypatch.setattr(numeric, "_EXPLICIT_LOBES", lobes)
-            runs.append((overlap_numeric_detail(geom, omega_min),
-                         rate_numeric_detail(geom, omega_min)))
+            # a fresh table of that many lobes, the shared one back after the test
+            monkeypatch.setattr(numeric, "_lobe_table",
+                                functools.cache(numeric._lobe_table.__wrapped__))
+            runs.append((overlap_numeric_detail(geom), rate_numeric_detail(geom)))
         for (a, a_err), (b, b_err) in zip(*runs):
             assert abs(a - b) <= a_err + b_err, (dx_over_rs, a, b, a_err, b_err)
 
 
-@pytest.mark.parametrize("u_min, dx_over_rs, overlap", [
-    (20.0, 500.0, -1.7130253103339742e-5), (30.0, 3286.0, -4.4814979815699524e-7)])
-def test_cutoff_overlap_physical_values(u_min, dx_over_rs, overlap):
-    # 30-digit mpmath over [u_min, u_min + 80], split at the sinc zeros
-    value = overlap_numeric(geom_at(dx_over_rs), omega_at_u(u_min))
-    assert value == pytest.approx(overlap, rel=1e-10, abs=0.0)
+def test_quad_is_keyword_only():
+    # a positional second argument is a TypeError at the call, not a float
+    # taken for the spec
+    for oracle in (overlap_numeric, overlap_numeric_detail, rate_numeric, rate_numeric_detail):
+        with pytest.raises(TypeError):
+            oracle(geom_at(1.0), 0.3)
+        with pytest.raises(TypeError):
+            oracle(geom_at(1.0), QuadratureSpec())

@@ -8,7 +8,7 @@ import pytest
 from hawkdeco import QuadratureAccuracyError, QuadratureSpec, integrate_adaptive
 from hawkdeco.quadrature import gk15_batch, gk15_panels, gk15_sums
 from hawkdeco.special import sinc
-from hawkdeco.spectrum import bose_seed_points, bose_spectral_kernel
+from hawkdeco.spectrum import BOSE_SEEDS, bose_spectral_kernel
 
 
 def heap_integrate_adaptive(f, points, spec=QuadratureSpec()):
@@ -67,11 +67,10 @@ REFERENCE_CASES = {
     # mirror-image panels give exactly equal error estimates
     "sqrt_abs_tie_2": (lambda x: np.sqrt(np.abs(x)), [-1.0, 0.0, 1.0]),
     "sqrt_abs_tie_4": (lambda x: np.sqrt(np.abs(x)), [-2.0, -1.0, 0.0, 1.0, 2.0]),
-    "bose_u0": (bose_spectral_kernel, bose_seed_points(0.0)),
-    "bose_u2": (bose_spectral_kernel, bose_seed_points(2.0)),
+    "bose_u0": (bose_spectral_kernel, list(BOSE_SEEDS)),
+    "bose_u2": (bose_spectral_kernel, [2.0, 8.0, 20.0, 52.0]),
     # the kernel's knees and the sinc zeros below the truncation
-    "bose_sinc_0.215": (bose_sinc(0.215), bose_seed_points(0.0) + [np.pi * k / 0.215
-                                                                  for k in (1, 2, 3)]),
+    "bose_sinc_0.215": (bose_sinc(0.215), [*BOSE_SEEDS, *(np.pi * k / 0.215 for k in (1, 2, 3))]),
     # 2048 sinc lobes from u = 0, split at the zeros; meets the target on its first pass
     "bose_sinc_250": (bose_sinc(250.0), np.pi * np.arange(2049.0) / 250.0),
 }

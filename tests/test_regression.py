@@ -8,10 +8,8 @@ import pytest
 
 import hawkdeco
 from hawkdeco import (
-    CODATA2018,
     SuperpositionGeometry,
     ThermalBathParams,
-    overlap_numeric,
     thermal_sphere_rate,
     trigamma_complex,
     vacuum_overlap,
@@ -31,7 +29,6 @@ EXPECTED_NAMES = {
     "im_trigamma_1_plus_i",
     "im_trigamma_moon",
     "overlap_alpha_1",
-    "overlap_alpha_1_umin_2",
     "overlap_moon",
     "tau_earth_canonical_s",
     "tau_moon_canonical_s",
@@ -150,7 +147,7 @@ def test_closed_forms_match_pinned_quadrature_values():
     """The real drift alarm: today's closed-form numbers vs the committed
     independently-generated references, at each record's tolerance."""
     records = load_default_records()
-    for name in sorted(EXPECTED_NAMES - {"bose_mode_u", "overlap_alpha_1_umin_2"}):
+    for name in sorted(EXPECTED_NAMES - {"bose_mode_u"}):
         rec = records[name]
         assert current_value(name) == pytest.approx(rec.value, rel=rec.rel_tol), name
 
@@ -161,10 +158,3 @@ def test_bose_mode_record_is_stationary():
     assert mode == pytest.approx(2.0 * (1.0 - math.exp(-mode)), rel=1e-12)
     assert bose_spectral_kernel(mode) >= bose_spectral_kernel(mode - 1e-7)
     assert bose_spectral_kernel(mode) >= bose_spectral_kernel(mode + 1e-7)
-
-
-def test_cutoff_overlap_record():
-    rec = load_default_records()["overlap_alpha_1_umin_2"]
-    geom = SuperpositionGeometry(delta_x=4.0 * math.pi, r_s=1.0)
-    omega_min = 2.0 * CODATA2018.c / (4.0 * math.pi)
-    assert overlap_numeric(geom, omega_min) == pytest.approx(rec.value, rel=rec.rel_tol)

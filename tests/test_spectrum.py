@@ -1,4 +1,4 @@
-"""Emission spectrum: shape, normalization, total rate, cutoff path."""
+"""Emission spectrum: shape, normalization, total rate, the oracle's denominator."""
 
 import math
 
@@ -8,8 +8,7 @@ import pytest
 
 from hawkdeco import EmissionSpectrum, QuadratureSpec, frequency_pdf, rate_density, total_emission_rate
 from hawkdeco.quadrature import integrate_adaptive
-from hawkdeco.spectrum import (U_TRUNCATION, bose_integral, bose_seed_points, bose_spectral_kernel,
-                               cut_spec)
+from hawkdeco.spectrum import BOSE_SEEDS, U_TRUNCATION, bose_integral, bose_spectral_kernel
 
 ZETA3 = 1.2020569031595942854
 R_S_MOON = 1.0916e-4  # horizon radius of a 7.35e22 kg hole, metres
@@ -55,13 +54,6 @@ def test_rate_density_scaling_knobs():
     assert rate_density(spec2, omega) == pytest.approx(2.0 * rate_density(spec1, omega), rel=1e-15)
 
 
-def test_rate_density_below_cutoff():
-    spec = EmissionSpectrum(r_s=1.0, omega_min=1e6)
-    assert rate_density(spec, 0.5e6) == 0.0
-    assert rate_density(spec, 2e6) > 0.0
-    assert spec.u_min == pytest.approx(4.0 * math.pi * 1e6 / spec.constants.c, rel=1e-15)
-
-
 def test_total_emission_rate_closed_form():
     for r_s in (1e-6, R_S_MOON, 1.0, 1e6):
         spec = EmissionSpectrum(r_s=r_s)
@@ -81,48 +73,6 @@ def test_total_rate_inverse_radius():
     a = total_emission_rate(EmissionSpectrum(r_s=1.0))
     b = total_emission_rate(EmissionSpectrum(r_s=2.0))
     assert b == pytest.approx(a / 2.0, rel=1e-14)
-
-
-def bose_tail_series(a: float, terms: int = 60) -> float:
-    # int_a^inf u^2/(e^u - 1) du = sum_n e^(-n a) (a^2/n + 2a/n^2 + 2/n^3),
-    # from expanding the Bose factor in powers of e^-u
-    total = 0.0
-    for n in range(terms, 0, -1):
-        total += math.exp(-n * a) * (a * a / n + 2.0 * a / n ** 2 + 2.0 / n ** 3)
-    return total
-
-
-def test_total_rate_with_cutoff_vs_series():
-    r_s = 2.5
-    spec = EmissionSpectrum(r_s=r_s)
-    cutoff = EmissionSpectrum(r_s=r_s, omega_min=u_to_omega(spec, 2.0))
-    assert cutoff.u_min == pytest.approx(2.0, rel=1e-14)
-    per_u = 27.0 * spec.constants.c / (64.0 * math.pi ** 4 * r_s)
-    expected = per_u * bose_tail_series(2.0)
-    assert total_emission_rate(cutoff) == pytest.approx(expected, rel=1e-10)
-
-
-def test_total_rate_cutoff_reduces():
-    spec = EmissionSpectrum(r_s=1.0)
-    cutoff = EmissionSpectrum(r_s=1.0, omega_min=u_to_omega(spec, 0.5))
-    assert 0.0 < total_emission_rate(cutoff) < total_emission_rate(spec)
-
-
-def test_total_rate_cutoff_beyond_truncation():
-    # the truncation moves with the cut-off: a cut at u = 41.5 leaves a
-    # spectrum like any other, and only past u ~ 721.6,
-    # where the cut integral leaves the normal range of a double, is the
-    # cut-off rejected
-    spec = EmissionSpectrum(r_s=1.0)
-    for u_min in (U_TRUNCATION, 100.0, 721.0):
-        cut = EmissionSpectrum(r_s=1.0, omega_min=u_to_omega(spec, u_min))
-        value, err = bose_integral(cut.u_min)
-        assert abs(value - bose_tail_series(cut.u_min)) <= err
-        assert total_emission_rate(cut) == cut.per_u_rate() * value
-    for u_min in (722.0, 1e290):
-        too_far = EmissionSpectrum(r_s=1.0, omega_min=u_to_omega(spec, u_min))
-        with pytest.raises(ValueError, match="omega_min"):
-            total_emission_rate(too_far)
 
 
 def test_frequency_pdf_normalization():
@@ -183,8 +133,6 @@ def test_spectrum_validation():
         EmissionSpectrum(r_s=0.0)
     with pytest.raises(ValueError):
         EmissionSpectrum(r_s=1.0, species_multiplicity=0)
-    with pytest.raises(ValueError):
-        EmissionSpectrum(r_s=1.0, omega_min=-1.0)
 
 
 def test_per_u_rate_times_full_integral_is_lambda_total():
@@ -213,8 +161,7 @@ def test_lambda_total_near_the_overflow_edge():
 
 def test_truncation_tail_bounds():
     # what [0, U_TRUNCATION] drops, as a share of the whole integral, for the
-    # spectrum (u^2) and for the rate at small separations (u^4), at 30 digits;
-    # the bound is largest without a cut-off
+    # spectrum (u^2) and for the rate at small separations (u^4), at 30 digits
     with mpmath.workdps(30):
         top = mpmath.mpf(U_TRUNCATION)
         for power, bound in ((2, 2.6e-19), (4, 5.5e-17)):
@@ -225,62 +172,44 @@ def test_truncation_tail_bounds():
             assert share >= bound / 1.3  # the stated bound is close, not loose
 
 
-def test_bose_seed_points():
-    assert bose_seed_points(0.0) == [0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION]
-    assert bose_seed_points(2.0) == [2.0, 8.0, 20.0, 2.0 + U_TRUNCATION]
-    assert bose_seed_points(30.0) == [30.0, 30.0 + U_TRUNCATION]
-    assert bose_seed_points(721.5) == [721.5, 721.5 + U_TRUNCATION]
-    for u_min in (721.6, 1e300, math.inf, math.nan):
-        with pytest.raises(ValueError, match="cutoff"):
-            bose_seed_points(u_min)
+def test_bose_seeds():
+    assert BOSE_SEEDS == (0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION)
+
+
+TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
 
 
 def test_bose_integral_is_the_direct_quadrature():
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    for u_min in (0.0, 0.3, 2.0, 10.0, 39.0):
-        seeds = [u_min] + [p for p in (0.5, 2.0, 8.0, 20.0) if p > u_min] + [u_min + U_TRUNCATION]
-        for quad in (QuadratureSpec(), tight):
-            direct = integrate_adaptive(bose_spectral_kernel, seeds, cut_spec(u_min, quad))
-            assert bose_integral(u_min, quad) == direct
-        # the absolute target is scaled by exactly 1 without a cut-off
-        assert (cut_spec(u_min, tight) == tight) == (u_min == 0.0)
-    assert bose_integral(0.0) == bose_integral(0.0, QuadratureSpec())
-    with pytest.raises(ValueError, match="beyond the resolvable spectrum"):
-        bose_integral(722.0)
+    for quad in (QuadratureSpec(), TIGHT):
+        direct = integrate_adaptive(bose_spectral_kernel, [0.0, 0.5, 2.0, 8.0, 20.0, 50.0], quad)
+        assert bose_integral(quad) == direct
+    assert bose_integral() == bose_integral(QuadratureSpec())
 
 
-def _bose_integral_mp(u_min: float):
-    # sum over n of the integral of u^2 e^(-n u) over [u_min, u_min + U_TRUNCATION]
-    # at 30 digits; mpmath.quad itself is about 2.6e-11 off at u_min = 100
+@pytest.mark.parametrize("quad", [QuadratureSpec(), TIGHT], ids=["default", "tight"])
+def test_bose_integral_within_its_estimate(quad):
+    # 2 zeta(3) less the tail above U_TRUNCATION, sum_n e^(-n U) (U^2/n +
+    # 2U/n^2 + 2/n^3), at 30 digits: independent of the oracle's quadrature
+    value, err = bose_integral(quad)
     with mpmath.workdps(30):
-        def upper(a):
-            return sum(mpmath.exp(-n * a) * (a * a / n + 2 * a / n ** 2 + mpmath.mpf(2) / n ** 3)
-                       for n in range(1, 6))
-        a = mpmath.mpf(u_min)
-        return upper(a) - upper(a + mpmath.mpf(U_TRUNCATION))
-
-
-@pytest.mark.parametrize("u_min", [30.0, 39.0, 100.0, 700.0])
-def test_cut_bose_integral_keeps_rel_tol(u_min):
-    # the cut integral is at or far below the default abs_tol = 1e-14 here;
-    # with the absolute target scaled to its size it still meets rel_tol
-    value, err = bose_integral(u_min)
-    exact = _bose_integral_mp(u_min)
-    assert float(abs(value - exact) / exact) <= 1e-10
+        top = mpmath.mpf(U_TRUNCATION)
+        tail = sum(mpmath.exp(-n * top) * (top ** 2 / n + 2 * top / n ** 2 + 2 / mpmath.mpf(n) ** 3)
+                   for n in range(1, 6))
+        exact = 2 * mpmath.zeta(3) - tail
     assert abs(value - float(exact)) <= err
+    assert float(abs(value - exact) / exact) <= quad.rel_tol
 
 
 def test_bose_integral_cache_entries_and_bound():
     bose_integral.cache_clear()
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    keys = [(0.0, QuadratureSpec()), (0.3, QuadratureSpec()), (0.0, tight)]
-    values = [bose_integral(*key) for key in keys]
+    keys = [QuadratureSpec(), QuadratureSpec(rel_tol=1e-11), TIGHT]
+    values = [bose_integral(key) for key in keys]
     info = bose_integral.cache_info()
     assert (info.misses, info.currsize) == (3, 3)
-    assert [bose_integral(*key) for key in keys] == values
+    assert [bose_integral(key) for key in keys] == values
     assert bose_integral.cache_info().hits == 3
     maxsize = bose_integral.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
-    for u_min in np.linspace(0.0, 30.0, 3 * maxsize).tolist():
-        bose_integral(u_min)
+    for rel_tol in np.geomspace(1e-10, 1e-6, 3 * maxsize).tolist():
+        bose_integral(QuadratureSpec(rel_tol=rel_tol))
     assert bose_integral.cache_info().currsize == maxsize
