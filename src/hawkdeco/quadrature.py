@@ -21,12 +21,11 @@ for a caller that holds a first pass from a larger batch, such as one
 formed by ``gk15_panels`` (the nodes) and ``gk15_sums`` (per-row sums of
 integrand values a caller tabulated on them).  The bookkeeping is
 deterministic (equal estimates go to the older interval, and the final
-sum runs sequentially left to right across the intervals), so
-identical inputs give bit-identical results on one platform.  Across
-platforms the last bits may differ: the Kronrod sum of gk15_batch is a
-BLAS dot product whose kernel depends on the CPU (gk15_sums is not), and
-numpy's transcendental functions in the integrands round differently at
-different SIMD levels.
+sum runs sequentially left to right across the intervals), and every
+rule is summed per row by gk15_sums, not by a BLAS product, so identical
+inputs give bit-identical results whatever the CPU's BLAS kernel.  Across
+platforms the last bits may still differ where numpy's transcendental
+functions in the integrands round differently at different SIMD levels.
 """
 
 from __future__ import annotations
@@ -91,22 +90,19 @@ def gk15_batch(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     """Apply the GK15 rule to each [a_i, b_i]; returns (values, error estimates)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.empty((len(half), len(_NODES)))
-    for lo in range(0, len(half), _BLOCK):
-        nodes = center[lo:lo + _BLOCK, None] + half[lo:lo + _BLOCK, None] * _NODES
+    y = np.empty((len(a), len(_NODES)))
+    for lo in range(0, len(a), _BLOCK):
+        nodes, _ = gk15_panels(a[lo:lo + _BLOCK], b[lo:lo + _BLOCK])
         y[lo:lo + _BLOCK] = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
     if not np.isfinite(y).all():
         raise ValueError("integrand returned a non-finite value")
-    vk = half * (y @ _WGK)
-    return vk, np.abs(vk - half * (y @ _WG))
+    return gk15_sums(y, 0.5 * (b - a))
 
 
 def gk15_panels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The GK15 nodes on each [a_i, b_i], one row per interval, as gk15_batch
-    places them, and the half-widths: for a caller that tabulates what its
-    integrands share and sums them with gk15_sums."""
+    """The GK15 nodes on each [a_i, b_i], one row per interval, and the
+    half-widths: gk15_batch places its nodes with it, and so may a caller
+    that tabulates what its integrands share and sums them with gk15_sums."""
     half = 0.5 * (b - a)
     return (0.5 * (a + b))[:, None] + half[:, None] * _NODES, half
 
@@ -115,7 +111,7 @@ def gk15_sums(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, |K15 - G7| estimates) from integrand values y on the nodes
     of gk15_panels and the half-widths.  Each row is summed by numpy's
     einsum, not a BLAS product, so an interval's bits do not depend on its
-    row in the batch or on the CPU's BLAS kernel."""
+    row in the batch or on the CPU's BLAS kernel; gk15_batch sums with it too."""
     kronrod, gauss = half * np.einsum("ij,kj->ki", y, _WEIGHTS)
     return kronrod, np.abs(kronrod - gauss)
 

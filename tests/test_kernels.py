@@ -9,25 +9,19 @@ import pytest
 
 from hawkdeco import SuperpositionGeometry, overlap_numeric, rate_numeric
 from hawkdeco import numeric, quadrature
-from hawkdeco.quadrature import _NODES, _WG, _WGK, gk15_batch
+from hawkdeco.quadrature import gk15_batch, gk15_panels, gk15_sums
 from hawkdeco.special import one_minus_sinc, sinc
 from hawkdeco.spectrum import bose_spectral_kernel
 
 
 def one_shot_gk15_batch(f, a, b):
-    """Reference: every interval's 15 nodes in one integrand call, one
-    matrix-vector product per rule (the form before blocked evaluation)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = center[:, None] + half[:, None] * _NODES[None, :]
+    """Reference: every interval's 15 nodes in one integrand call, summed
+    per row (the form before blocked evaluation)."""
+    nodes, half = gk15_panels(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     y = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     if not np.all(np.isfinite(y)):
         raise ValueError("integrand returned a non-finite value")
-    vk = half * (y @ _WGK)
-    vg = half * (y @ _WG)
-    return vk, np.abs(vk - vg)
+    return gk15_sums(y, half)
 
 
 def where_sinc(x):
@@ -94,8 +88,7 @@ BOSE_EDGES = np.concatenate([EDGES, _around(745.0), _around(746.0),
 ONE_MINUS_SINC_EDGES = np.concatenate([EDGES, _around(0.125), _around(-0.125), [1e6, -1e6]])
 # oracle-like node sets: the GK15 nodes of the first 2500 lobes of bose * sinc(300 u)
 LOBES = np.pi * np.arange(2501) / 300.0
-NODES = (0.5 * (LOBES[:-1] + LOBES[1:])[:, None]
-         + 0.5 * (LOBES[1:] - LOBES[:-1])[:, None] * _NODES).ravel()
+NODES = gk15_panels(LOBES[:-1], LOBES[1:])[0].ravel()
 
 
 def _same_bits(new, ref):

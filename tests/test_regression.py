@@ -63,14 +63,13 @@ def test_roundtrip_bit_exact(tmp_path):
         assert back[rec.name].rel_tol == rec.rel_tol
 
 
-# Quadrature generators run numpy transcendentals (exp, expm1) and a BLAS
-# dot product (the Kronrod weights), whose last bits depend on the CPU:
-# numpy's SIMD dispatch level and the OpenBLAS kernel.  Capping numpy at
-# its baseline SIMD level moved overlap_alpha_1_umin_2 by 1 ulp; older
-# OpenBLAS kernels (Nehalem, Sandybridge, Core2, Prescott) moved it by
-# 4 ulps and tau_sun/tau_earth_canonical_s by 2.  The bound is four times
-# that spread, and still at least 10^4 times tighter than these records'
-# rel_tol, so a real change to a generator fails.
+# Quadrature generators run numpy transcendentals (exp, expm1), whose last
+# bits depend on the CPU's SIMD dispatch level.  Their GK15 sums are per
+# row (einsum), so the OpenBLAS kernel no longer moves them; when the
+# Kronrod sums were BLAS dot products, older kernels (Nehalem, Sandybridge,
+# Core2, Prescott) moved oracle records by up to 4 ulps.  The bound is four
+# times that spread, and still at least 10^4 times tighter than these
+# records' rel_tol, so a real change to a generator fails.
 QUADRATURE_GENERATORS = {"overlap_numeric", "rate_numeric"}
 QUADRATURE_ULPS = 16
 
