@@ -172,14 +172,12 @@ def test_truncation_tail_bounds():
             assert share >= bound / 1.3  # the stated bound is close, not loose
 
 
-def test_bose_seeds():
-    assert BOSE_SEEDS == (0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION)
-
-
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
 
 
 def test_bose_integral_is_the_direct_quadrature():
+    # on the kernel's knees and the truncation, BOSE_SEEDS
+    assert BOSE_SEEDS == (0.0, 0.5, 2.0, 8.0, 20.0, U_TRUNCATION)
     for quad in (QuadratureSpec(), TIGHT):
         direct = integrate_adaptive(bose_spectral_kernel, [0.0, 0.5, 2.0, 8.0, 20.0, 50.0], quad)
         assert bose_integral(quad) == direct
