@@ -2,6 +2,9 @@
 one-shot forms: the same bits, and bounded memory per integrand call."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -173,3 +176,30 @@ def test_oracle_peak_memory_at_large_separation(oracle):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+# a seeded log-uniform grid of dx/R_s in [1e-6, 1e8], each oracle value and
+# its estimate under the default and a tight spec, as hex
+ORACLE_BITS = """
+import numpy as np
+from hawkdeco import QuadratureSpec, SuperpositionGeometry, numeric
+oracle = getattr(numeric, {name!r})
+grid = np.power(10.0, np.random.default_rng(7).uniform(-6.0, 8.0, 60)).tolist()
+for quad in (QuadratureSpec(), QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)):
+    for dx in grid:
+        print(*(v.hex() for v in oracle(SuperpositionGeometry(dx, 1.0), quad=quad)))
+"""
+
+
+@pytest.mark.parametrize("name", ["rate_numeric_detail", "overlap_numeric_detail"])
+def test_oracle_bits_do_not_depend_on_the_blas_kernel(name):
+    # the GK15 sums are per row, not BLAS products, so an older OpenBLAS
+    # kernel (where numpy links OpenBLAS) leaves every bit in place
+    def run(**env):
+        return subprocess.run(
+            [sys.executable, "-c", ORACLE_BITS.format(name=name)], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}).stdout
+    lines = run().splitlines()
+    assert len(lines) == 120
+    assert run(OPENBLAS_CORETYPE="Nehalem").splitlines() == lines

@@ -237,18 +237,20 @@ def test_lobe_table_is_the_sinc_on_whole_lobes():
     assert not any(arr.flags.writeable for arr in (ks, nodes, sincs))
 
 
-def test_lobes_count_the_sinc_lobes():
-    # alphas around the switch to acceleration (128 lobes at alpha ~ 8.04),
-    # and alphas that put a zero on the truncation
-    alphas = [1.0001, 2.0, 8.0, 8.04, 8.05, 9.7, 100.0, 159.5, 1e3, 1e4]
-    alphas += [math.pi * k / U_TRUNCATION for k in (17, 128, 129, 5000)]
+# alphas around the switch to acceleration (128 lobes at alpha ~ 8.04),
+# and alphas that put a zero on the truncation
+LOBE_ALPHAS = [1.0001, 2.0, 8.0, 8.04, 8.05, 9.7, 100.0, 159.5, 1e3, 1e4]
+LOBE_ALPHAS += [math.pi * k / U_TRUNCATION for k in (17, 128, 129, 5000)]
+
+
+@pytest.mark.parametrize("alpha", LOBE_ALPHAS)
+def test_lobes_count_the_sinc_lobes(alpha):
     with mpmath.workdps(40):
-        for alpha in alphas:
-            c_top, n = numeric._lobes(alpha)
-            assert n - 1 < c_top <= n
-            exact_top = mpmath.mpf(U_TRUNCATION) * alpha / mpmath.pi
-            assert abs(exact_top - mpmath.nint(exact_top)) < 1e-9 or n == int(
-                mpmath.ceil(exact_top))
+        c_top, n = numeric._lobes(alpha)
+        assert n - 1 < c_top <= n
+        exact_top = mpmath.mpf(U_TRUNCATION) * alpha / mpmath.pi
+        assert abs(exact_top - mpmath.nint(exact_top)) < 1e-9 or n == int(
+            mpmath.ceil(exact_top))
 
 
 def _closed_forms_mp(alpha: float) -> tuple:
@@ -286,12 +288,12 @@ def test_wide_separation_oracle_memory():
     assert value == pytest.approx(vacuum_rate(geom).rate, rel=1e-8)
 
 
+@pytest.mark.parametrize("oracle", [rate_numeric, overlap_numeric])
 @pytest.mark.parametrize("dx_over_rs", [5e307, 1e308])
-def test_separations_past_distinct_sinc_zeros_name_the_argument(dx_over_rs):
+def test_separations_past_distinct_sinc_zeros_name_the_argument(dx_over_rs, oracle):
     # U_TRUNCATION alpha / pi overflows past dx/R_s ~ 4.5e307
-    for oracle in (rate_numeric, overlap_numeric):
-        with pytest.raises(ValueError, match=r"^delta_x / r_s=[0-9]e\+30[78] puts the sinc zeros"):
-            oracle(geom_at(dx_over_rs))
+    with pytest.raises(ValueError, match=r"^delta_x / r_s=[0-9]e\+30[78] puts the sinc zeros"):
+        oracle(geom_at(dx_over_rs))
 
 
 def _overlap_at_large_y(y: float) -> float:
@@ -311,26 +313,30 @@ def test_huge_separations_without_cutoff_keep_their_values(dx_over_rs):
     assert overlap_numeric(geom) == pytest.approx(overlap, rel=2e-13, abs=0.0)
 
 
-def test_accelerated_and_explicit_lobe_sums_agree(monkeypatch):
+@pytest.mark.parametrize("quad", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)],
+                         ids=["default", "tight"])
+@pytest.mark.parametrize("dx_over_rs", [100.0, 130.0, 500.0, 3286.0, 3e4, 1e6])
+def test_accelerated_and_explicit_lobe_sums_agree(monkeypatch, dx_over_rs, quad):
     # the Euler tail after 64 lobes against 2048 lobes integrated one by one
-    for dx_over_rs in (100.0, 130.0, 500.0, 3286.0, 3e4, 1e6):
-        geom = geom_at(dx_over_rs)
-        runs = []
-        for lobes in (64, 2048):
-            monkeypatch.setattr(numeric, "_EXPLICIT_LOBES", lobes)
-            # a fresh table of that many lobes, the shared one back after the test
-            monkeypatch.setattr(numeric, "_lobe_table",
-                                functools.cache(numeric._lobe_table.__wrapped__))
-            runs.append((overlap_numeric_detail(geom), rate_numeric_detail(geom)))
-        for (a, a_err), (b, b_err) in zip(*runs):
-            assert abs(a - b) <= a_err + b_err, (dx_over_rs, a, b, a_err, b_err)
+    geom = geom_at(dx_over_rs)
+    runs = []
+    for lobes in (64, 2048):
+        monkeypatch.setattr(numeric, "_EXPLICIT_LOBES", lobes)
+        # a fresh table of that many lobes, the shared one back after the test
+        monkeypatch.setattr(numeric, "_lobe_table",
+                            functools.cache(numeric._lobe_table.__wrapped__))
+        runs.append((overlap_numeric_detail(geom, quad=quad), rate_numeric_detail(geom, quad=quad)))
+    for (a, a_err), (b, b_err) in zip(*runs):
+        assert abs(a - b) <= a_err + b_err, (a, b, a_err, b_err)
 
 
-def test_quad_is_keyword_only():
+@pytest.mark.parametrize("oracle", [overlap_numeric, overlap_numeric_detail, rate_numeric,
+                                    rate_numeric_detail])
+def test_quad_is_keyword_only(oracle):
     # a positional second argument is a TypeError at the call, not a float
     # taken for the spec
-    for oracle in (overlap_numeric, overlap_numeric_detail, rate_numeric, rate_numeric_detail):
-        with pytest.raises(TypeError):
-            oracle(geom_at(1.0), 0.3)
-        with pytest.raises(TypeError):
-            oracle(geom_at(1.0), QuadratureSpec())
+    with pytest.raises(TypeError):
+        oracle(geom_at(1.0), 0.3)
+    with pytest.raises(TypeError):
+        oracle(geom_at(1.0), QuadratureSpec())
+    assert oracle(geom_at(1.0), quad=QuadratureSpec()) == oracle(geom_at(1.0))

@@ -184,7 +184,8 @@ def test_bose_integral_is_the_direct_quadrature():
     assert bose_integral() == bose_integral(QuadratureSpec())
 
 
-@pytest.mark.parametrize("quad", [QuadratureSpec(), TIGHT], ids=["default", "tight"])
+@pytest.mark.parametrize("quad", [QuadratureSpec(rel_tol=1e-6), QuadratureSpec(rel_tol=1e-8),
+                                  QuadratureSpec(), TIGHT], ids=["1e-6", "1e-8", "default", "tight"])
 def test_bose_integral_within_its_estimate(quad):
     # 2 zeta(3) less the tail above U_TRUNCATION, sum_n e^(-n U) (U^2/n +
     # 2U/n^2 + 2/n^3), at 30 digits: independent of the oracle's quadrature
