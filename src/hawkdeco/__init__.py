@@ -19,7 +19,7 @@ from .blackhole import (
     schwarzschild_radius,
 )
 from .special import sinc, trigamma_complex, zeta_int
-from .spectrum import EmissionSpectrum, frequency_pdf, rate_density, total_emission_rate
+from .spectrum import frequency_pdf, rate_density, total_emission_rate
 from .quadrature import QuadratureAccuracyError, QuadratureSpec, integrate_adaptive
 from .rates import (
     DecoherenceResult,
@@ -59,7 +59,6 @@ __all__ = [
     "CoherenceTrace",
     "DecoherenceResult",
     "DipoleApproximationWarning",
-    "EmissionSpectrum",
     "PhysicalConstants",
     "QuadratureAccuracyError",
     "QuadratureSpec",

@@ -25,7 +25,7 @@ from .quadrature import QuadratureAccuracyError
 from .rates import (REGIMES, SuperpositionGeometry, VARIANT_CANONICAL, VARIANT_FACTOR,
                     VARIANT_PRINTED, _regime_index, _thermal_rate, canonical_rate_array,
                     classify_regime, thermal_bh_rate, vacuum_rate)
-from .spectrum import EmissionSpectrum, total_emission_rate
+from .spectrum import total_emission_rate
 from .verification import FAIL, run_checks
 
 _PRINTED_NOTICE = (
@@ -168,8 +168,7 @@ def _resolve_variant(args) -> str:
 
 def cmd_info(args) -> int:
     hole = BlackHole(args.mass)
-    lam = total_emission_rate(EmissionSpectrum(
-        r_s=hole.r_s, species_multiplicity=args.species))
+    lam = total_emission_rate(hole.r_s, species_multiplicity=args.species)
     header = ["r_s_m", "t_hawking_k", "t_evaporation_s", "lambda_total_per_s",
               "planck_length_m"]
     columns = [[hole.r_s], [hole.t_hawking], [hole.t_evaporation], [lam], [planck_length()]]

@@ -44,8 +44,8 @@ from .blackhole import _count
 from .quadrature import QuadratureSpec, gk15_panels, gk15_sums, refine
 from .rates import SuperpositionGeometry
 from .special import _trigamma_domain, one_minus_sinc, sinc
-from .spectrum import (BOSE_KNEES, BOSE_SEEDS, EmissionSpectrum, U_TRUNCATION, bose_integral,
-                       bose_spectral_kernel)
+from .spectrum import (BOSE_KNEES, BOSE_SEEDS, U_TRUNCATION, bose_integral, bose_spectral_kernel,
+                       per_u_rate)
 
 # Panel edges for alpha <= 1: the kernel's seeds and 12 more, 17 panels on
 # which the first pass meets even the fixture's tight spec (rel_tol 1e-12,
@@ -251,8 +251,8 @@ def rate_numeric_detail(
         num, num_err = _oscillatory_integral(alpha, quad)
         comp = denom - num
         comp_err = num_err + denom_err
-    per_u_rate = EmissionSpectrum(r_s=geom.r_s).per_u_rate()
-    return per_u_rate * comp, per_u_rate * comp_err
+    scale = per_u_rate(geom.r_s)
+    return scale * comp, scale * comp_err
 
 
 def rate_numeric(

@@ -48,7 +48,7 @@ import numpy as np
 from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_negative,
                         _positive, schwarzschild_radius)
 from .special import BERNOULLI_2K, zeta_int
-from .spectrum import EmissionSpectrum, closed_form_emission_rate, total_emission_rate
+from .spectrum import _emission_rate, closed_form_emission_rate
 
 VARIANT_CANONICAL = "canonical_appendix"
 VARIANT_PRINTED = "printed_eq8"
@@ -249,9 +249,8 @@ def vacuum_rate(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    n, r_s, y = _count("species_multiplicity", species_multiplicity), geom.r_s, geom.y
-    lam = _in_range("Lambda_total", lambda: closed_form_emission_rate(r_s, n, constants),
-                    "r_s={!r} m", r_s)
+    y, n = geom.y, _count("species_multiplicity", species_multiplicity)
+    lam = _emission_rate(geom.r_s, n, constants)
     overlap = _overlap(y)
     return DecoherenceResult(
         rate=VARIANT_FACTOR[variant] * (lam * _complement(y, overlap)),
@@ -273,9 +272,7 @@ def canonical_rate_array(
     radius (`sweep`) or radii at one separation (`evolve`), from one trigamma
     pass and one series call.  The caller validates the geometries."""
     n = _count("species_multiplicity", species_multiplicity)
-    r_min = float(np.min(r_s))  # Lambda_total peaks there: range-check it once
-    _in_range("Lambda_total", lambda: closed_form_emission_rate(r_min, n, constants),
-              "r_s={!r} m", r_min)
+    _emission_rate(float(np.min(r_s)), n, constants)  # Lambda_total peaks there: check it once
     y = delta_x / (4.0 * math.pi * r_s)
     with np.errstate(over="ignore"):  # y * y past 1e154, where the terms are +0.0
         overlap = _trigamma_im_over_y(y) / _TWO_ZETA3
@@ -307,7 +304,7 @@ def vacuum_rate_saturation(
 ) -> float:
     """Large-separation ceiling: every emitted photon distinguishes the
     branches, so the rate saturates at the photon emission rate."""
-    return total_emission_rate(EmissionSpectrum(r_s=geom.r_s, constants=constants))
+    return _emission_rate(geom.r_s, 1, constants)
 
 
 def thermal_coefficient() -> float:

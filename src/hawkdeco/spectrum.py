@@ -12,9 +12,13 @@ over all frequencies,
 
 using int_0^inf u^2/(e^u - 1) du = 2 zeta(3).
 
-``species_multiplicity`` N, an integer >= 1, is the one rate multiplier:
-it multiplies the whole rate for N - 1 additional massless emission
-channels and leaves the normalized frequency distribution unchanged.
+Convention: by detailed balance this is sigma omega^2 / (pi^2 c^2) / (e^u - 1)
+with sigma = 27 pi R_s^2, the disc of the paper's capture radius sqrt(27) R_s:
+4 times the geometric-optics 27 pi G^2 M^2 / c^4, whose critical impact
+parameter is sqrt(27) G M / c^2 = (sqrt(27)/2) R_s.  Every rate carries it.
+
+The species count N >= 1 is the one rate multiplier, for N - 1 additional
+massless channels; the normalized frequency distribution does not change.
 
 ``per_u_rate`` (rate per unit u-integral) and ``BOSE_SEEDS`` (the kernel's
 knees and the truncation) serve the oracle and the checks too.
@@ -27,12 +31,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .blackhole import (CODATA2018, PhysicalConstants, _count, _in_range, _non_negative,
-                        _positive)
+from .blackhole import CODATA2018, PhysicalConstants, _count, _in_range, _non_negative, _positive
 from .special import zeta_int
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -48,23 +50,10 @@ BOSE_KNEES = (0.5, 2.0, 8.0, 20.0)
 BOSE_SEEDS = (0.0, *BOSE_KNEES, U_TRUNCATION)
 
 
-@dataclass(frozen=True)
-class EmissionSpectrum:
-    """Emission spectrum parameters for a hole of horizon radius r_s."""
-
-    r_s: float
-    species_multiplicity: int = 1
-    constants: PhysicalConstants = CODATA2018
-
-    def __post_init__(self) -> None:
-        _positive("r_s", self.r_s)
-        _count("species_multiplicity", self.species_multiplicity)
-
-    def per_u_rate(self) -> float:
-        """N * 27 c / (64 pi^4 R_s) in s^-1: the rate per unit of the
-        integral of u^2/(e^u - 1) du (2 zeta(3) over all u)."""
-        return self.species_multiplicity * 27.0 * self.constants.c / (
-            64.0 * math.pi ** 4 * self.r_s)
+def per_u_rate(r_s, constants: PhysicalConstants = CODATA2018) -> float:
+    """27 c / (64 pi^4 r_s) in s^-1, unchecked: the rate of one species per
+    unit of the integral of u^2/(e^u - 1) du (2 zeta(3) over all u)."""
+    return 27.0 * constants.c / (64.0 * math.pi ** 4 * r_s)
 
 
 def bose_spectral_kernel(u):
@@ -91,25 +80,32 @@ def bose_spectral_kernel(u):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def rate_density(spectrum: EmissionSpectrum, omega: float) -> float:
-    """Differential emission rate Lambda(omega), per unit angular frequency.
-
-    omega = 0 is accepted and gives 0 (the u^2 prefactor wins over the
-    Bose pole); negative frequencies are a domain error.
-    """
+def rate_density(r_s: float, omega: float, constants: PhysicalConstants = CODATA2018,
+                 species_multiplicity: int = 1) -> float:
+    """Differential emission rate Lambda(omega) per unit angular frequency; omega = 0
+    gives 0 (the u^2 prefactor wins over the Bose pole), a negative omega is an error."""
+    _positive("r_s", r_s)
+    n = _count("species_multiplicity", species_multiplicity)
     _non_negative("omega", omega)
     if omega == 0.0:
         return 0.0
-    u = 4.0 * math.pi * omega * spectrum.r_s / spectrum.constants.c
-    return spectrum.species_multiplicity * 27.0 / (16.0 * math.pi ** 3) * bose_spectral_kernel(u)
+    u = 4.0 * math.pi * omega * r_s / constants.c
+    return n * 27.0 / (16.0 * math.pi ** 3) * bose_spectral_kernel(u)
 
 
-def total_emission_rate(spectrum: EmissionSpectrum) -> float:
-    """Total photon emission rate Lambda_total = 27 zeta(3) c / (32 pi^4 R_s) in s^-1;
-    a radius that puts it out of the normal range of a double is a ValueError naming r_s."""
-    return _in_range("Lambda_total", lambda: closed_form_emission_rate(
-        spectrum.r_s, spectrum.species_multiplicity, spectrum.constants),
-        "r_s={!r} m", spectrum.r_s)
+def total_emission_rate(r_s: float, constants: PhysicalConstants = CODATA2018,
+                        species_multiplicity: int = 1) -> float:
+    """Total photon emission rate Lambda_total = N * 27 zeta(3) c / (32 pi^4 R_s)
+    in s^-1; a radius that puts it out of the normal range of a double is a
+    ValueError naming r_s."""
+    _positive("r_s", r_s)
+    return _emission_rate(r_s, _count("species_multiplicity", species_multiplicity), constants)
+
+
+def _emission_rate(r_s: float, n: int, constants: PhysicalConstants) -> float:
+    # closed_form_emission_rate at a valid radius and count, range-checked
+    return _in_range("Lambda_total", lambda: closed_form_emission_rate(r_s, n, constants),
+                     "r_s={!r} m", r_s)
 
 
 def closed_form_emission_rate(r_s, species_multiplicity: int, constants: PhysicalConstants):
@@ -122,13 +118,10 @@ def closed_form_emission_rate(r_s, species_multiplicity: int, constants: Physica
     return species_multiplicity * (27.0 * constants.c * zeta_int(3) / 32.0 / (math.pi ** 4 * r_s))
 
 
-def frequency_pdf(spectrum: EmissionSpectrum, omega: float) -> float:
-    """Normalized emitted-frequency density Lambda(omega) / Lambda_total.
-
-    Independent of the species multiplicity; the dimensionless shape
-    peaks at u ~= 1.5936.
-    """
-    return rate_density(spectrum, omega) / total_emission_rate(spectrum)
+def frequency_pdf(r_s: float, omega: float, constants: PhysicalConstants = CODATA2018) -> float:
+    """Normalized emitted-frequency density Lambda(omega) / Lambda_total;
+    the dimensionless shape peaks at u ~= 1.5936."""
+    return rate_density(r_s, omega, constants) / total_emission_rate(r_s, constants)
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,7 +13,7 @@ A record looks like:
     value_hex: 0x1.5243...p-2
     rel_tol: 1e-08
     generator: overlap_numeric
-    params: alpha=1.0 u_min=0.0 quad_rel_tol=1e-12
+    params: alpha=1.0 quad_rel_tol=1e-12
 
 ``value`` is the shortest round-tripping decimal; ``value_hex`` is the
 authoritative bit pattern.  Both must decode to the same double or the
@@ -144,7 +144,7 @@ def generate_records() -> list[RegressionRecord]:
         value=overlap_numeric(geom_alpha1, quad=_REF_QUAD),
         rel_tol=1e-10,
         generator="overlap_numeric",
-        params=f"alpha=1.0 u_min=0.0 {quad_params}",
+        params=f"alpha=1.0 {quad_params}",
     ))
 
     # Headline one-centimetre superpositions.

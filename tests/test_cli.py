@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hawkdeco
-from hawkdeco import QuadratureAccuracyError, cli, special
+from hawkdeco import QuadratureAccuracyError, cli, rates, special, verification
 from hawkdeco.verification import FAIL, PASS, WARN
 
 M_SUN = 1.99e30
@@ -378,18 +378,39 @@ def test_subnormal_lifetime_is_a_usage_error(capsys):
     assert err == "error: mass=1e-100 kg puts t_bh=8.411478e-317 out of floating-point range\n"
 
 
-def test_verify_detects_constant_perturbation(capsys, monkeypatch):
-    """Nudging zeta(3) by 1e-6 must trip the emission-rate cross-check
-    while the zeta-free anchors keep passing."""
-    monkeypatch.setitem(special._ZETA_TABLE, 3, special._ZETA_TABLE[3] * (1.0 + 1e-6))
+def verify_statuses(capsys) -> dict:
+    """Each row's status by check name, from a `verify` run that fails."""
     code, out, _ = run(capsys, "verify")
     assert code == 1
     statuses = {}
     for line in out.splitlines()[:-1]:
         status, rest = line.split(" ", 1)
         statuses[rest.split(":")[0]] = status
+    return statuses
+
+
+def test_verify_detects_constant_perturbation(capsys, monkeypatch):
+    """Nudging zeta(3) by 1e-6 must trip the emission-rate cross-check
+    while the zeta-free anchors keep passing."""
+    monkeypatch.setitem(special._ZETA_TABLE, 3, special._ZETA_TABLE[3] * (1.0 + 1e-6))
+    statuses = verify_statuses(capsys)
     assert statuses["emission_saturation"] == FAIL
     assert statuses["trigamma_anchor"] == PASS
+
+
+def test_verify_limits_checks_the_library_limit(capsys, monkeypatch):
+    """A small-dx limit 1% off must fail the `limits` row, which measures
+    the library's vacuum_rate_small_dx, not a copy of its coefficient."""
+    original = rates.vacuum_rate_small_dx
+
+    def scaled(*args, **kwargs):
+        return 1.01 * original(*args, **kwargs)
+
+    for module in (rates, verification):
+        monkeypatch.setattr(module, "vacuum_rate_small_dx", scaled)
+    statuses = verify_statuses(capsys)
+    assert statuses["limits"] == FAIL
+    assert statuses["limits_saturation"] == PASS
 
 
 def _fmt(x) -> str:

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from hawkdeco import (CODATA2018, EmissionSpectrum, QuadratureSpec, SuperpositionGeometry,
+from hawkdeco import (CODATA2018, QuadratureSpec, SuperpositionGeometry,
                       ThermalBathParams, classify_regime, evolve_coherence, mass_at_time,
                       planck_localization_time,
                       rate_density, thermal_bh_rate, thermal_sphere_rate, total_emission_rate,
@@ -31,9 +31,9 @@ BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
                  id="thermal_sphere_rate-delta_x-nan"),
     pytest.param(lambda: evolve_coherence(M_EARTH, 0.01, math.inf, 4), "t_max",
                  id="evolve_coherence-t_max-inf"),
-    pytest.param(lambda: rate_density(EmissionSpectrum(r_s=1.0), math.nan), "omega",
-                 id="rate_density-omega-nan"),
-    pytest.param(lambda: EmissionSpectrum(r_s=math.inf), "r_s", id="spectrum-r_s-inf"),
+    pytest.param(lambda: rate_density(1.0, math.nan), "omega", id="rate_density-omega-nan"),
+    pytest.param(lambda: total_emission_rate(math.inf), "r_s", id="total_emission_rate-r_s-inf"),
+    pytest.param(lambda: rate_density(math.inf, 1.0), "r_s", id="rate_density-r_s-inf"),
     pytest.param(lambda: QuadratureSpec(rel_tol=math.inf), "rel_tol", id="quad-rel_tol-inf"),
     pytest.param(lambda: QuadratureSpec(abs_tol=math.nan), "abs_tol", id="quad-abs_tol-nan"),
     pytest.param(lambda: trigamma_complex(-math.inf), "z", id="trigamma_complex-z--inf"),
@@ -66,8 +66,10 @@ def test_constants_are_finite_and_positive(field, value):
 
 # Every count argument: the call with that argument set to n, its name and its least value.
 COUNTS = [
-    pytest.param(lambda n: EmissionSpectrum(r_s=1.0, species_multiplicity=n),
-                 "species_multiplicity", 1, id="EmissionSpectrum-species_multiplicity"),
+    pytest.param(lambda n: total_emission_rate(1.0, species_multiplicity=n),
+                 "species_multiplicity", 1, id="total_emission_rate-species_multiplicity"),
+    pytest.param(lambda n: rate_density(1.0, 1.0, species_multiplicity=n),
+                 "species_multiplicity", 1, id="rate_density-species_multiplicity"),
     pytest.param(lambda n: thermal_sphere_rate(BATH, 1e-8, species_multiplicity=n),
                  "species_multiplicity", 1, id="thermal_sphere_rate-species_multiplicity"),
     pytest.param(lambda n: thermal_bh_rate(SuperpositionGeometry(1.0, 1.0),
@@ -133,8 +135,8 @@ def test_rates_may_underflow_to_zero():
 
 @pytest.mark.parametrize("call, named", [
     pytest.param(lambda: planck_localization_time(1e-100), "mass=1e-100 kg", id="tau"),
-    pytest.param(lambda: total_emission_rate(EmissionSpectrum(
-        r_s=1e300, constants=dataclasses.replace(CODATA2018, c=1e-20))), "r_s=1e+300 m",
+    pytest.param(lambda: total_emission_rate(
+        1e300, constants=dataclasses.replace(CODATA2018, c=1e-20)), "r_s=1e+300 m",
         id="lambda_total"),
 ])
 def test_subnormal_results_are_value_errors(call, named):
