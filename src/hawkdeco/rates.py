@@ -287,7 +287,8 @@ def vacuum_rate_small_dx(
     geom: SuperpositionGeometry,
     constants: PhysicalConstants = CODATA2018,
 ) -> float:
-    """Quadratic small-separation limit (27 zeta(5)/256 pi^6)(dx/R_s)^2 c/R_s.
+    """Quadratic small-separation limit (27 zeta(5)/256 pi^6)(dx/R_s)^2 c/R_s
+    for photons alone: vacuum_rate with N massless species tends to N times it.
 
     Relative error against the full rate is (3 zeta(7)/2 zeta(5)) y^2 to
     leading order, below 1e-6 for dx/R_s = 0.01.
@@ -303,7 +304,8 @@ def vacuum_rate_saturation(
     constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Large-separation ceiling: every emitted photon distinguishes the
-    branches, so the rate saturates at the photon emission rate."""
+    branches, so the rate saturates at the photon emission rate.  With N
+    massless species vacuum_rate saturates at N times it."""
     return _emission_rate(geom.r_s, 1, constants)
 
 
@@ -329,7 +331,6 @@ def thermal_sphere_rate(
     params: ThermalBathParams,
     delta_x: float,
     constants: PhysicalConstants = CODATA2018,
-    species_multiplicity: int = 1,
 ) -> float:
     """Thermal-bath decoherence rate for a dipole-regime sphere, s^-1.
 
@@ -343,7 +344,6 @@ def thermal_sphere_rate(
     expansion underlying the dx^2 law stops being controlled.
     """
     _non_negative("delta_x", delta_x)
-    _count("species_multiplicity", species_multiplicity)
     wavelength = constants.hbar * constants.c / (constants.k_B * params.temperature)
     if delta_x >= wavelength:
         warnings.warn(
@@ -358,8 +358,8 @@ def thermal_sphere_rate(
             DipoleApproximationWarning, stacklevel=2)
     thermal_freq = constants.k_B * params.temperature / constants.hbar
     return _in_range("thermal_sphere_rate", lambda: (
-        species_multiplicity * _THERMAL_PREFACTOR * params.radius_eff ** 6 * delta_x ** 2
-        * thermal_freq ** 9 / constants.c ** 8),
+        _THERMAL_PREFACTOR * params.radius_eff ** 6 * delta_x ** 2 * thermal_freq ** 9
+        / constants.c ** 8),
         "delta_x={!r} m, radius_eff={!r} m and temperature={!r} K", delta_x,
         params.radius_eff, params.temperature, lowest=0.0)
 

@@ -6,18 +6,19 @@ Three primitives live here:
   * trigamma_complex -- psi^(1)(z) for complex z off the non-positive integers
   * sinc(x)          -- sin(x)/x with a series branch near zero
 
-The rates do not call trigamma_complex: they take Im psi1(1 + iy) / y from
-rates._trigamma_im_over_y in real arithmetic; the tests check that routine
-against trigamma_complex, an independent reference, which pairs the upward
-recurrence psi1(z) = psi1(z + 1) + 1/z^2 with the asymptotic expansion
+The rates do not call trigamma_complex: they take -Im psi1(1 + iy) / y
+from rates._trigamma_im_over_y in real arithmetic, and ``hawkdeco verify``
+checks that routine (rows trigamma_small_y, trigamma_large_y and
+trigamma_vs_series).  trigamma_complex is the tests' independent reference
+for it.  It pairs the upward recurrence psi1(z) = psi1(z + 1) + 1/z^2 with
+the asymptotic expansion
 
     psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
 
 applied once |z| is past SHIFT_THRESHOLD = 10.  Bernoulli terms are kept
 through B_12; at |z| = 10 the first dropped term is ~1e-16 of the value,
 comfortably below the 1e-10 accuracy target.  The threshold is a fixed
-constant; ``hawkdeco verify`` checks it against a deeper-shifted
-evaluation (check ``trigamma_shift_threshold``).
+constant; the tests check it against a deeper-shifted evaluation.
 """
 
 from __future__ import annotations
@@ -97,18 +98,6 @@ def _trigamma_domain(z: complex) -> complex:
     return z
 
 
-def trigamma_asymptotic(z: complex) -> complex:
-    # 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1), valid away from the negative axis
-    inv = 1.0 / z
-    inv2 = inv * inv
-    total = inv + 0.5 * inv2
-    power = inv * inv2
-    for b in BERNOULLI_2K:
-        total += b * power
-        power *= inv2
-    return total
-
-
 def trigamma_complex(z: complex) -> complex:
     """psi^(1)(z) for complex z, excluding the poles at 0, -1, -2, ...
 
@@ -121,7 +110,15 @@ def trigamma_complex(z: complex) -> complex:
     while abs(z) < SHIFT_THRESHOLD or z.real < 0.5:
         acc += 1.0 / (z * z)
         z += 1.0
-    return acc + trigamma_asymptotic(z)
+    # 1/z + 1/(2 z^2) + sum B_2k / z^(2k+1)
+    inv = 1.0 / z
+    inv2 = inv * inv
+    total = inv + 0.5 * inv2
+    power = inv * inv2
+    for b in BERNOULLI_2K:
+        total += b * power
+        power *= inv2
+    return acc + total
 
 
 def _sin_over_x(x, cut: float, series, complement: bool):

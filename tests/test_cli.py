@@ -329,7 +329,8 @@ def test_verify_passes_with_moon_warning(capsys):
         status, rest = line.split(" ", 1)
         statuses[rest.split(":")[0]] = status
     assert statuses["moon_discrepancy"] == WARN
-    assert statuses["trigamma_shift_threshold"] == PASS
+    assert [statuses[name] for name in ("trigamma_small_y", "trigamma_large_y",
+                                        "trigamma_vs_series")] == [PASS] * 3
     assert all(s == PASS for name, s in statuses.items() if name != "moon_discrepancy")
     assert lines[-1].endswith("0 failed")
     moon_line = next(l for l in lines if "moon_discrepancy" in l)
@@ -349,13 +350,13 @@ def test_verify_json_rows_carry_value_and_tolerance(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert len(rows) == 24 and len({r["name"] for r in rows}) == 24
+    assert len(rows) == 22 and len({r["name"] for r in rows}) == 22
     for row in rows:
         assert isinstance(row["value"], float) and isinstance(row["tol"], float)
         expected = WARN if row["name"] == "moon_discrepancy" else PASS
         assert row["status"] == (expected if row["value"] <= row["tol"] else FAIL)
         assert row["detail"].endswith(f"(tol {row['tol']:g})")
-    assert [r["status"] for r in rows].count(PASS) == 23
+    assert [r["status"] for r in rows].count(PASS) == 21
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,12 +391,13 @@ def verify_statuses(capsys) -> dict:
 
 
 def test_verify_detects_constant_perturbation(capsys, monkeypatch):
-    """Nudging zeta(3) by 1e-6 must trip the emission-rate cross-check
-    while the zeta-free anchors keep passing."""
+    """Nudging zeta(3) by 1e-6 must trip the emission-rate cross-check and
+    the overlap's normalization while the zeta-free anchors keep passing."""
     monkeypatch.setitem(special._ZETA_TABLE, 3, special._ZETA_TABLE[3] * (1.0 + 1e-6))
     statuses = verify_statuses(capsys)
     assert statuses["emission_saturation"] == FAIL
-    assert statuses["trigamma_anchor"] == PASS
+    assert statuses["trigamma_small_y"] == FAIL
+    assert statuses["headline_temperatures"] == PASS
 
 
 def test_verify_limits_checks_the_library_limit(capsys, monkeypatch):

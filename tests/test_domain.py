@@ -70,8 +70,6 @@ COUNTS = [
                  "species_multiplicity", 1, id="total_emission_rate-species_multiplicity"),
     pytest.param(lambda n: rate_density(1.0, 1.0, species_multiplicity=n),
                  "species_multiplicity", 1, id="rate_density-species_multiplicity"),
-    pytest.param(lambda n: thermal_sphere_rate(BATH, 1e-8, species_multiplicity=n),
-                 "species_multiplicity", 1, id="thermal_sphere_rate-species_multiplicity"),
     pytest.param(lambda n: thermal_bh_rate(SuperpositionGeometry(1.0, 1.0),
                                            species_multiplicity=n),
                  "species_multiplicity", 1, id="thermal_bh_rate-species_multiplicity"),

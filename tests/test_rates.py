@@ -397,6 +397,16 @@ def test_species_multiplicity_scales_rate():
     assert tripled.overlap == base.overlap
 
 
+def test_limits_are_those_of_one_species():
+    # the limits take no count: with N species the rate tends to N times them
+    geom = geom_at(1e4)
+    assert vacuum_rate(geom, species_multiplicity=3).lambda_total == (
+        3 * vacuum_rate_saturation(geom))
+    small = geom_at(1e-3)
+    ratio = vacuum_rate(small, species_multiplicity=3).rate / vacuum_rate_small_dx(small)
+    assert ratio == pytest.approx(3.0, abs=1e-6)
+
+
 def test_thermal_coefficient_value():
     d = thermal_coefficient()
     assert d == pytest.approx(THERMAL_D, rel=1e-13)
@@ -443,16 +453,12 @@ def test_thermal_sphere_rate_shape():
     r1 = thermal_sphere_rate(params, 1e-8)
     r2 = thermal_sphere_rate(params, 2e-8)
     assert r2 == pytest.approx(4.0 * r1, rel=1e-13)
-    assert thermal_sphere_rate(params, 1e-8, species_multiplicity=2) == pytest.approx(
-        2.0 * r1, rel=1e-14)
 
 
 def test_thermal_sphere_rate_errors():
     params = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
     with pytest.raises(ValueError):
         thermal_sphere_rate(params, -1.0)
-    with pytest.raises(ValueError):
-        thermal_sphere_rate(params, 1e-8, species_multiplicity=0)
     with pytest.raises(ValueError):
         ThermalBathParams(radius_eff=0.0, temperature=300.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from hawkdeco import sinc, special, trigamma_complex, verification, zeta_int
 from hawkdeco.special import one_minus_sinc, zeta_series
-from hawkdeco.verification import (FAIL, PASS, check_trigamma_shift_threshold,
+from hawkdeco.verification import (FAIL, PASS, check_trigamma_large_y, check_trigamma_small_y,
                                    check_trigamma_vs_series)
 
 # Directly-summed reference values (series with Euler-Maclaurin tail,
@@ -146,12 +146,34 @@ def test_one_minus_sinc_branch_continuity():
     assert one_minus_sinc(above) == pytest.approx(direct(above), rel=1e-12)
 
 
+def shift_threshold_deviation() -> float:
+    # trigamma_complex at |z| = SHIFT_THRESHOLD against ten recurrence steps
+    # into a deeper (more accurate) asymptotic region, worst relative
+    def deviation(z):
+        deep = sum(1.0 / ((z + k) * (z + k)) for k in range(10)) + trigamma_complex(z + 10.0)
+        return abs(trigamma_complex(z) - deep) / abs(deep)
+
+    return max(deviation(special.SHIFT_THRESHOLD * direction)
+               for direction in (1.0 + 0.0j, 0.6 + 0.8j, 0.0 + 1.0j))
+
+
 def test_shift_threshold_check():
-    assert check_trigamma_shift_threshold().status == PASS
+    assert shift_threshold_deviation() <= 1e-12
     with pytest.MonkeyPatch.context() as mp:
         # the Bernoulli tail is far from converged at |z| = 3
         mp.setattr(special, "SHIFT_THRESHOLD", 3.0)
-        assert check_trigamma_shift_threshold().status == FAIL
+        assert shift_threshold_deviation() > 1e-12
+
+
+def test_limit_checks_cover_the_overlap_routine(monkeypatch):
+    assert check_trigamma_small_y().status == PASS
+    assert check_trigamma_large_y().status == PASS
+    # a 1e-12 relative error in the saturated regime alone must fail the large-y row
+    exact = verification._trigamma_im_over_y
+    monkeypatch.setattr(verification, "_trigamma_im_over_y",
+                        lambda y: exact(y) * (1.0 + 1e-12) if y > 1e3 else exact(y))
+    assert check_trigamma_large_y().status == FAIL
+    assert check_trigamma_small_y().status == PASS
 
 
 def test_series_check_covers_the_overlap_routine(monkeypatch):
