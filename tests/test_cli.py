@@ -359,6 +359,19 @@ def test_verify_json_rows_carry_value_and_tolerance(capsys):
     assert [r["status"] for r in rows].count(PASS) == 21
 
 
+def test_verify_rows_check_the_overlap_routine(capsys):
+    # the three trigamma rows measure the routine the rates run; the rest keep their order
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["rows"]] == [
+        "trigamma_small_y", "trigamma_large_y", "trigamma_vs_series", "zeta_table_vs_series",
+        "emission_saturation", "overlap_oracle_grid", "rate_oracle_grid", "variant_factor_4",
+        "hbar_invariance", "headline_sun", "headline_earth", "headline_temperatures",
+        "moon_discrepancy", "thermal_coefficient", "thermal_tau_unit",
+        "localization_coefficients", "localization_vacuum", "localization_ratio", "limits",
+        "limits_saturation", "evolution_exponential", "evolution_grid_doubling"]
+
+
 @pytest.mark.parametrize("argv", [
     ("rate", "--mass", "1", "--dx-over-rs", "1e200", "--mode", "thermal"),
     ("rate", "--mass", "1e-280", "--dx", "1e-300", "--mode", "thermal"),

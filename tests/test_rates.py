@@ -455,6 +455,13 @@ def test_thermal_sphere_rate_shape():
     assert r2 == pytest.approx(4.0 * r1, rel=1e-13)
 
 
+def test_thermal_sphere_rate_takes_no_species_count():
+    # the bath's photons are its one species; the count is a vacuum-rate option
+    params = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
+    with pytest.raises(TypeError, match="species_multiplicity"):
+        thermal_sphere_rate(params, 1e-8, species_multiplicity=1)
+
+
 def test_thermal_sphere_rate_errors():
     params = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
     with pytest.raises(ValueError):

@@ -176,6 +176,16 @@ def test_limit_checks_cover_the_overlap_routine(monkeypatch):
     assert check_trigamma_small_y().status == PASS
 
 
+def test_small_y_check_detects_a_wrong_normalization(monkeypatch):
+    # a 1e-14 relative error at y = 0 alone must fail only the small-y row
+    exact = verification._trigamma_im_over_y
+    monkeypatch.setattr(verification, "_trigamma_im_over_y",
+                        lambda y: exact(y) * (1.0 + 1e-14) if y == 0.0 else exact(y))
+    assert check_trigamma_small_y().status == FAIL
+    assert check_trigamma_large_y().status == PASS
+    assert check_trigamma_vs_series().status == PASS
+
+
 def test_series_check_covers_the_overlap_routine(monkeypatch):
     result = check_trigamma_vs_series()
     assert result.status == PASS and "-Im psi1(1+iy)/y" in result.detail
