@@ -6,7 +6,7 @@ not a tautology:
 
   * overlap_numeric  -- the sinc-weighted spectral average, by quadrature
   * rate_numeric     -- emission rate times (1 - overlap), by quadrature
-  * trigamma_series  -- psi1 by direct summation with an integral tail
+  * trigamma_series  -- -Im psi1(1 + iy) / y by direct summation with a tail
 
 The overlap integrand in u = 4 pi omega R_s / c is
 
@@ -40,10 +40,10 @@ import math
 
 import numpy as np
 
-from .blackhole import _count
+from .blackhole import _count, _non_negative
 from .quadrature import QuadratureSpec, gk15_panels, gk15_sums, refine
 from .rates import SuperpositionGeometry
-from .special import _trigamma_domain, one_minus_sinc, sinc
+from .special import one_minus_sinc, sinc
 from .spectrum import (BOSE_KNEES, BOSE_SEEDS, U_TRUNCATION, bose_integral, bose_spectral_kernel,
                        per_u_rate)
 
@@ -61,39 +61,31 @@ _EULER_WEIGHTS = np.array([[0.0] * s + [math.comb(m, i) / 2.0 ** m for i in rang
                            for m, s in ((_ACCEL_LOBES - 1, 0), (_ACCEL_LOBES - 2, 1))])
 
 
-def trigamma_series(z: complex, terms: int = 10000) -> complex:
-    """psi1(z) = sum_n 1/(z+n)^2 with the Euler-Maclaurin tail
-    1/(z+N) + 1/(2 (z+N)^2).  Direct route, no recurrence, no Bernoulli
-    expansion; the reference the fast implementation is checked against.
-
-    With z = x + iy, a = x + n and d = a^2 + y^2, each term is
-    ((a^2 - y^2) - 2ayi) / d^2, formed in real elementwise arithmetic.
-    The real parts, and then the imaginary parts, are added together with
-    the two tail pieces by one ``math.fsum`` each, which is correctly
-    rounded.  Every step is thus a correctly rounded IEEE-754 operation,
-    so the result is the same to the last bit on any platform and numpy
-    build."""
-    z = _trigamma_domain(z)
-    terms = _count("terms", terms, 100)
-    x, y = z.real, z.imag
-    a = x + np.arange(terms + 1, dtype=float)
+def trigamma_series(y: float, terms: int = 10000) -> float:
+    """-Im psi1(1 + iy) / y = sum_{a >= 1} 2a / d^2, d = a^2 + y^2, for real
+    y >= 0 (2 zeta(3) at y = 0): the first N = terms terms and the
+    Euler-Maclaurin tail at a_N = N + 1, 1/d_N plus half the term there.
+    Direct route, no recurrence, no Bernoulli expansion; the reference
+    that rates._trigamma_im_over_y is checked against.  The terms and the
+    tail are added by one ``math.fsum``, which is correctly rounded, so
+    every step is a correctly rounded IEEE-754 operation and the result is
+    the same to the last bit on any platform and numpy build."""
+    y = _non_negative("y", y)
+    a = np.arange(1.0, _count("terms", terms, 100) + 2.0)
     d = a * a + y * y
-    # divide by d twice: d * d would under- or overflow for |z + n|
-    # outside about [1e-77, 1e77], where d itself is still finite
-    re = (a * a - y * y) / d / d
-    im = -2.0 * a * y / d / d
-    # Tail at n = N: 1/(z+N) = (a_N - iy) / d_N, and 1/(2 (z+N)^2) is
-    # half of the n = N term.
-    real = math.fsum(re[:-1].tolist() + [a[-1] / d[-1], 0.5 * re[-1]])
-    imag = math.fsum(im[:-1].tolist() + [-y / d[-1], 0.5 * im[-1]])
-    return complex(real, imag)
+    # divide by d twice: d * d overflows once d passes 1e154, d does not
+    f = 2.0 * a / d / d
+    return math.fsum(f[:-1].tolist() + [1.0 / d[-1], 0.5 * f[-1]])
 
 
-def trigamma_series_error_bound(z: complex, terms: int = 10000) -> float:
+def trigamma_series_error_bound(y: float, terms: int = 10000) -> float:
     """Truncation bound for trigamma_series: the next Euler-Maclaurin
-    correction 1/(6 |z+N|^3), padded 2x for the terms beyond it."""
-    w = abs(_trigamma_domain(z) + _count("terms", terms, 100))
-    return 2.0 / (6.0 * w ** 3)
+    correction |f'(a_N)|/12 <= 1/(2 d_N^2), f(a) = 2a / d^2, padded 2x for
+    the terms beyond it.  Rounding adds at most a few ulps."""
+    y = _non_negative("y", y)
+    a = _count("terms", terms, 100) + 1.0
+    d = a * a + y * y
+    return 1.0 / d / d
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:

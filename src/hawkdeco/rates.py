@@ -157,7 +157,8 @@ def _trigamma_im_over_y(y):
     2e-15 (against mpmath); an array caller should ignore the overflow of
     y * y.
     """
-    s = 1.0 / (100.0 + y * y)
+    yy = y * y
+    s = 1.0 / (100.0 + yy)
     p = 10.0 * s
     t = y * (y * s)
     # 1/w^2 = (re2, j2); y^2 j2 = yj2
@@ -174,7 +175,7 @@ def _trigamma_im_over_y(y):
     j3 = p * j2 + s * re2
     total = s + 0.5 * j2 + (re3 * h_j + j3 * h_re)
     for a in _RECURRENCE_SHIFTS:  # smallest terms first
-        d = a * a + y * y
+        d = a * a + yy
         total = total + 2.0 * a / d / d
     return total
 

@@ -8,10 +8,11 @@ Three primitives live here:
 
 The rates do not call trigamma_complex: they take -Im psi1(1 + iy) / y
 from rates._trigamma_im_over_y in real arithmetic, and ``hawkdeco verify``
-checks that routine (rows trigamma_small_y, trigamma_large_y and
-trigamma_vs_series).  trigamma_complex is the tests' independent reference
-for it.  It pairs the upward recurrence psi1(z) = psi1(z + 1) + 1/z^2 with
-the asymptotic expansion
+and the tests check that routine against the real series
+numeric.trigamma_series and mpmath.  No library code calls
+trigamma_complex; it stays public because tools look it up by name
+(bench/tracer.py).  It pairs the upward recurrence
+psi1(z) = psi1(z + 1) + 1/z^2 with the asymptotic expansion
 
     psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
 
@@ -88,16 +89,6 @@ def zeta_int(n: int) -> float:
     return zeta_series(n)
 
 
-def _trigamma_domain(z: complex) -> complex:
-    # complex(z), off the poles; finiteness first, as int() of inf overflows
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"trigamma pole at non-positive integer z={z.real}")
-    return z
-
-
 def trigamma_complex(z: complex) -> complex:
     """psi^(1)(z) for complex z, excluding the poles at 0, -1, -2, ...
 
@@ -105,7 +96,12 @@ def trigamma_complex(z: complex) -> complex:
     psi1(conj z) = conj(psi1(z)) holds exactly because every arithmetic
     step commutes with conjugation.
     """
-    z = _trigamma_domain(z)
+    z = complex(z)
+    # finiteness first, as int() of inf overflows
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z}")
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+        raise ValueError(f"trigamma pole at non-positive integer z={z.real}")
     acc = 0.0 + 0.0j
     while abs(z) < SHIFT_THRESHOLD or z.real < 0.5:
         acc += 1.0 / (z * z)

@@ -39,13 +39,15 @@ BATH = ThermalBathParams(radius_eff=1e-6, temperature=300.0)
     pytest.param(lambda: trigamma_complex(-math.inf), "z", id="trigamma_complex-z--inf"),
     pytest.param(lambda: trigamma_complex(complex(1.0, math.nan)), "z",
                  id="trigamma_complex-z-nan"),
-    pytest.param(lambda: trigamma_series(-math.inf), "z", id="trigamma_series-z--inf"),
-    pytest.param(lambda: trigamma_series(math.inf), "z", id="trigamma_series-z-inf"),
-    pytest.param(lambda: trigamma_series(math.nan), "z", id="trigamma_series-z-nan"),
-    pytest.param(lambda: trigamma_series_error_bound(math.nan), "z",
-                 id="trigamma_series_error_bound-z-nan"),
-    pytest.param(lambda: trigamma_series_error_bound(complex(1.0, math.inf)), "z",
-                 id="trigamma_series_error_bound-z-inf"),
+    pytest.param(lambda: trigamma_series(-1.0), "y", id="trigamma_series-y-negative"),
+    pytest.param(lambda: trigamma_series(math.nan), "y", id="trigamma_series-y-nan"),
+    pytest.param(lambda: trigamma_series(math.inf), "y", id="trigamma_series-y-inf"),
+    pytest.param(lambda: trigamma_series_error_bound(-1.0), "y",
+                 id="trigamma_series_error_bound-y-negative"),
+    pytest.param(lambda: trigamma_series_error_bound(math.nan), "y",
+                 id="trigamma_series_error_bound-y-nan"),
+    pytest.param(lambda: trigamma_series_error_bound(math.inf), "y",
+                 id="trigamma_series_error_bound-y-inf"),
     pytest.param(lambda: classify_regime(math.nan), "dx_over_rs", id="classify_regime-nan"),
     pytest.param(lambda: classify_regime(-1.0), "dx_over_rs", id="classify_regime-negative"),
 ])

@@ -1,4 +1,4 @@
-"""Quadrature route vs closed forms, and the direct trigamma series."""
+"""Quadrature route vs closed forms, and the direct series for -Im psi1(1 + iy) / y."""
 
 import functools
 import math
@@ -17,7 +17,6 @@ from hawkdeco import (
     overlap_numeric,
     rate_numeric,
     schwarzschild_radius,
-    trigamma_complex,
     trigamma_series,
     trigamma_series_error_bound,
     vacuum_overlap,
@@ -36,30 +35,31 @@ def geom_at(dx_over_rs: float, r_s: float = 1.0) -> SuperpositionGeometry:
     return SuperpositionGeometry(delta_x=dx_over_rs * r_s, r_s=r_s)
 
 
-def test_trigamma_series_at_one():
-    exact = math.pi ** 2 / 6.0
-    value = trigamma_series(1.0, terms=10000)
-    assert abs(value - exact) < 1e-9
-    assert abs(value - exact) <= trigamma_series_error_bound(1.0, terms=10000)
+@pytest.mark.parametrize("terms", [10000, 200000])
+@pytest.mark.parametrize("y", [0.0, 0.01, 1.0, 7.29, 50.0, 1e3])
+def test_trigamma_series_against_mpmath(y, terms):
+    # -Im psi1(1 + iy) / y at 40 digits, 2 zeta(3) exactly at y = 0, within
+    # the truncation bound plus the rounding: a term is three rounded
+    # operations, and fsum rounds once
+    with mpmath.workdps(40):
+        exact = (2 * mpmath.zeta(3) if y == 0.0
+                 else -mpmath.im(mpmath.psi(1, mpmath.mpc(1, y))) / y)
+        value = trigamma_series(y, terms=terms)
+        bound = trigamma_series_error_bound(y, terms=terms)
+        assert abs(value - exact) <= bound + 4 * math.ulp(value)
 
 
-def test_trigamma_series_complex():
-    # direct summation against the recurrence+asymptotic implementation
-    for z in (1.0 + 1.0j, 0.5 + 2.0j, 3.0 - 10.0j, 20.0 + 50.0j):
-        series = trigamma_series(z, terms=20000)
-        fast = trigamma_complex(z)
-        assert abs(series - fast) <= 1e-9 * abs(fast)
-
-
-def test_trigamma_series_tiny_and_huge_arguments():
-    # |z + n|^4 leaves the double range here, |z + n|^2 does not
-    assert trigamma_series(1e-100).real == pytest.approx(1e200, rel=1e-15)
-    assert trigamma_series(1e100 + 1.0j).real == pytest.approx(1e-100, rel=1e-15)
+def test_trigamma_series_past_the_square_root_of_the_double_range():
+    # d = a^2 + y^2 is finite, d^2 is not: the tail 1/d_N carries the 1/y^2
+    assert trigamma_series(1e100) == pytest.approx(1e-200, rel=1e-15)
+    # y^2 itself overflows: every term and the tail are +0.0
+    assert trigamma_series(1e160) == 0.0
+    assert trigamma_series_error_bound(1e100) == 0.0
 
 
 def test_trigamma_series_moon_argument():
-    assert trigamma_series(1.0 + 7.29j, terms=20000).imag == pytest.approx(
-        -0.1368, abs=1e-4)
+    # Im psi1(1 + iy) = -y (-Im psi1(1 + iy) / y)
+    assert -7.29 * trigamma_series(7.29, terms=20000) == pytest.approx(-0.1368, abs=1e-4)
 
 
 def test_trigamma_series_validation():
@@ -67,6 +67,8 @@ def test_trigamma_series_validation():
         trigamma_series(-3.0)
     with pytest.raises(ValueError):
         trigamma_series(1.0, terms=50)
+    with pytest.raises(TypeError):  # real y only
+        trigamma_series(1.0 + 1.0j)
 
 
 def test_overlap_numeric_identity_at_zero():

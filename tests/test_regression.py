@@ -11,10 +11,10 @@ from hawkdeco import (
     SuperpositionGeometry,
     ThermalBathParams,
     thermal_sphere_rate,
-    trigamma_complex,
     vacuum_overlap,
     vacuum_rate,
 )
+from hawkdeco.rates import _trigamma_im_over_y
 from hawkdeco.spectrum import bose_spectral_kernel
 from regression import (
     RegressionRecord,
@@ -136,8 +136,9 @@ def current_value(name: str) -> float:
         "tau_moon_canonical_s": lambda: 1.0 / vacuum_rate(geom_moon).rate,
         "thermal_sphere_rate_300k": lambda: thermal_sphere_rate(
             ThermalBathParams(radius_eff=1e-6, temperature=300.0), 1e-8),
-        "im_trigamma_1_plus_i": lambda: trigamma_complex(1.0 + 1.0j).imag,
-        "im_trigamma_moon": lambda: trigamma_complex(1.0 + 1j * geom_moon.y).imag,
+        # Im psi1(1 + iy) = -y (-Im psi1(1 + iy) / y), the route of the rates
+        "im_trigamma_1_plus_i": lambda: -_trigamma_im_over_y(1.0),
+        "im_trigamma_moon": lambda: -geom_moon.y * _trigamma_im_over_y(geom_moon.y),
     }
     return routes[name]()
 
