@@ -40,6 +40,8 @@ with d ~= 0.0576 (decoherence time 17.37 R_s/c at dx = R_s).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -67,9 +69,14 @@ _COMPLEMENT_SERIES_CUT = 0.05
 _COMPLEMENT_SERIES_TERMS = 20000
 # numpy sums a row pairwise, splitting n terms at n//2 - (n//2) % 8.  Three such
 # splits cut the N terms (m from N down to 1) into eight blocks; their row sums,
-# added up the same tree, give np.sum over all N terms bit for bit.  Rows of 3
-# values of y (60 KB a block) keep each temporary under glibc's mmap threshold.
-_SERIES_ROWS, _SERIES_WIDTH = 3, 2504
+# added up the same tree, give np.sum over all N terms bit for bit.  A tile of
+# 16 values of y makes each block temporary 320 KB, sized for L2 cache, two per
+# thread and call (about 1.2k minor faults per 10^4-point sweep, --trace 1).
+# A batch's tiles are split into contiguous ranges, one thread each, over the
+# CPUs in os.sched_getaffinity (so CPU affinity, e.g. taskset, limits them),
+# with at least _TILES_PER_WORKER tiles a thread.  A batch too small for two
+# threads, a scalar call included, runs on the caller's thread and starts none.
+_SERIES_ROWS, _SERIES_WIDTH, _TILES_PER_WORKER = 16, 2504, 2
 _SERIES_BLOCKS = [(m * m, 2.0 * m * m, m * m * m) for m in np.split(
     np.arange(float(_COMPLEMENT_SERIES_TERMS), 0.0, -1.0), np.cumsum([2496, 2504] * 3 + [2496]))]
 
@@ -197,13 +204,50 @@ def _one_minus_overlap_series(y: np.ndarray) -> np.ndarray:
     # 1 - overlap = (y^2/zeta(3)) sum_m (2 m^2 + y^2) / (m^3 (m^2 + y^2)^2),
     # every term positive, so no cancellation at any y.  Truncation after N
     # terms is bounded by the integral 1/(2 N^4) plus half the last term.
-    # A y's sum does not depend on its neighbours in the batch.
+    # A y's sum depends neither on its neighbours nor on the thread it runs on.
     y2 = y * y
     sums = np.empty_like(y2)
-    d = np.empty((min(_SERIES_ROWS, y2.size), _SERIES_WIDTH))
+    tiles = -(-y2.size // _SERIES_ROWS)
+    workers = 1
+    if tiles >= 2 * _TILES_PER_WORKER:
+        workers = min(tiles // _TILES_PER_WORKER, _usable_cpus())
+    bounds = [min(k * tiles // workers * _SERIES_ROWS, y2.size) for k in range(workers + 1)]
+    errors = []
+
+    def work(start: int, stop: int) -> None:
+        try:
+            _series_tiles(y2, sums, start, stop)
+        except BaseException as exc:  # re-raised on the caller's thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for b in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=work, args=b)
+            thread.start()
+            threads.append(thread)
+        _series_tiles(y2, sums, bounds[0], bounds[1])  # the first range, on the caller's thread
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    n = float(_COMPLEMENT_SERIES_TERMS)
+    return y2 * (sums + (0.5 / n ** 4 - 1.0 / n ** 5)) / zeta_int(3)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _series_tiles(y2: np.ndarray, sums: np.ndarray, start: int, stop: int) -> None:
+    # sums[start:stop] = the series sum (tail excluded) of y2[start:stop], a tile at a time
+    d = np.empty((min(_SERIES_ROWS, stop - start), _SERIES_WIDTH))
     t = np.empty_like(d)
-    for i in range(0, y2.size, _SERIES_ROWS):
-        rows = y2[i:i + _SERIES_ROWS, None]
+    for i in range(start, stop, _SERIES_ROWS):
+        rows = y2[i:min(i + _SERIES_ROWS, stop), None]
         s = []
         for m2, two_m2, m3 in _SERIES_BLOCKS:
             dj, tj = d[:len(rows), :len(m2)], t[:len(rows), :len(m2)]
@@ -214,9 +258,7 @@ def _one_minus_overlap_series(y: np.ndarray) -> np.ndarray:
             s.append(np.divide(dj, tj, out=dj).sum(axis=1))
         while len(s) > 1:  # the pairwise tree over the eight block sums
             s = [a + b for a, b in zip(s[0::2], s[1::2])]
-        sums[i:i + _SERIES_ROWS] = s[0]
-    n = float(_COMPLEMENT_SERIES_TERMS)
-    return y2 * (sums + (0.5 / n ** 4 - 1.0 / n ** 5)) / zeta_int(3)
+        sums[i:i + len(rows)] = s[0]
 
 
 def _complement(y: float, overlap: float) -> float:

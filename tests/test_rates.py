@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -222,16 +225,112 @@ def test_one_minus_overlap_branch_continuity():
         assert one_minus_overlap(geom) == pytest.approx(direct, rel=5e-12)
 
 
-def test_complement_series_batch_equals_one_element_calls_bitwise():
-    # 3 y per block: batch sizes 0, 1 and 2 modulo 3, the cut, y^2 underflowing
-    ys = np.concatenate([[1e-170, 1e-9], np.logspace(-8.0, math.log10(0.0499), 36), [0.05]])
-    for batch in (ys, ys[:-1], ys[:-2], ys[:1]):
-        one_by_one = [rates._one_minus_overlap_series(np.array([y]))[0] for y in batch]
-        assert rates._one_minus_overlap_series(batch).tobytes() == np.array(one_by_one).tobytes()
+def _allow_cpus(monkeypatch, cpus):
+    # the series asks the affinity mask how many CPUs it may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _count_started_threads(monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_complement_series_batch_equals_one_element_calls_bitwise(monkeypatch, cpus):
+    # batch sizes of one tile or less, every residue modulo the tile at a size
+    # that 2 workers split 2 + 3 or 3 + 3 tiles, and 8 tiles split 2 + 3 + 3
+    # by 3 workers, against one-element calls; the y run from the cut down to
+    # y^2 underflowing, so every tile holds different magnitudes
+    _allow_cpus(monkeypatch, cpus)
+    rows = rates._SERIES_ROWS
+    sizes = [0, 1, rows - 1, rows] + [5 * rows + r for r in range(rows)] + [7 * rows + 3]
+    ys = np.concatenate([[0.05, 0.0499], np.logspace(math.log10(0.0499), -8.0, max(sizes) - 4),
+                         [1e-9, 1e-170]])
+    one_by_one = np.array([rates._one_minus_overlap_series(np.array([y]))[0] for y in ys])
+    started = _count_started_threads(monkeypatch)
+    for size in sizes:
+        assert rates._one_minus_overlap_series(ys[:size]).tobytes() == one_by_one[:size].tobytes()
+    del started[:]
+    rates._one_minus_overlap_series(ys)
+    assert len(started) == cpus - 1  # the caller's thread runs the first range
     # the scalar route runs the same body on one element
-    geoms = [SuperpositionGeometry(4.0 * math.pi * float(y), 1.0) for y in ys[:-1]]
+    geoms = [SuperpositionGeometry(4.0 * math.pi * float(y), 1.0) for y in ys[1:]]
     assert [one_minus_overlap(g) for g in geoms] == rates._one_minus_overlap_series(
         np.array([g.y for g in geoms])).tolist()
+
+
+def test_complement_series_one_tile_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    _allow_cpus(monkeypatch, 3)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    result = vacuum_rate(geom_at(4.0 * math.pi * 0.01))  # y = 0.01, a one-element series
+    assert result.rate > 0.0
+    assert rates._one_minus_overlap_series(np.empty(0)).size == 0
+    assert np.all(rates._one_minus_overlap_series(np.full(rates._SERIES_ROWS, 0.01)) > 0.0)
+
+
+def test_complement_series_worker_count_without_sched_getaffinity(monkeypatch):
+    # where os.sched_getaffinity does not exist, os.cpu_count() gives the count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rates._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert rates._usable_cpus() == 3
+    ys = np.logspace(-8.0, math.log10(0.0499), 7 * rates._SERIES_ROWS + 3)
+    started = _count_started_threads(monkeypatch)
+    threaded = rates._one_minus_overlap_series(ys)
+    assert len(started) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert threaded.tobytes() == rates._one_minus_overlap_series(ys).tobytes()
+    assert len(started) == 2
+
+
+def test_complement_series_more_workers_than_cores_with_fast_switching(monkeypatch):
+    # 6 workers on what may be fewer cores, switching threads every microsecond:
+    # a lost or overlapping write into the shared sums would change some bits
+    rows = rates._SERIES_ROWS
+    ys = np.logspace(-8.0, math.log10(0.0499), 13 * rows + 5)
+    one_worker = rates._one_minus_overlap_series(ys)
+    _allow_cpus(monkeypatch, 6)
+    started = _count_started_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert rates._one_minus_overlap_series(ys).tobytes() == one_worker.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 5 * 5
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_complement_series_reraises_a_failed_range(monkeypatch, failing):
+    # an exception in any range reaches the caller, after every thread has
+    # ended; the half-filled sums are never returned
+    tiles = rates._series_tiles
+
+    def fail_one_range(y2, sums, start, stop):
+        if (start > 0) == (failing == "worker"):
+            raise ArithmeticError(f"range {start}:{stop}")
+        tiles(y2, sums, start, stop)
+
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(rates, "_series_tiles", fail_one_range)
+    ys = np.logspace(-8.0, math.log10(0.0499), 5 * rates._SERIES_ROWS)
+    threads_before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=r"^range \d+:\d+$"):
+        rates._one_minus_overlap_series(ys)
+    assert threading.active_count() == threads_before
 
 
 def test_complement_series_is_one_numpy_sum_over_all_terms_bitwise():
@@ -251,7 +350,7 @@ def test_complement_series_is_one_numpy_sum_over_all_terms_bitwise():
 
 
 def test_complement_series_call_stays_under_the_mmap_threshold():
-    # every temporary of the series is at most 60 KB, under glibc's 128 KiB
+    # a one-element call's temporaries are 20 KB each, under glibc's 128 KiB
     # mmap threshold, so one scalar call stays below 128 KiB too
     geom = geom_at(4.0 * math.pi * 0.01)
     one_minus_overlap(geom)
